@@ -15,6 +15,7 @@ from .graph_core import (
     bfs_distances,
     build_caterpillar,
     centroids,
+    count_trees,
     enumerate_trees,
     format_edge_list,
     from_edge_list,

@@ -12,14 +12,15 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 import time
-from typing import Any
+from typing import Any, Iterable
 
 from . import __version__
-from .graph_core import Graph, GraphError, enumerate_trees, parse_edge_list
+from .graph_core import Graph, GraphError, count_trees, enumerate_trees, parse_edge_list
 from .indices import IndexValue, energy, ifk_entropy, ig_entropy, randic, wiener
 from .measures import d_index, theorem1_a, theorem1_bound, theorem3_bound
 from .search import (
@@ -35,6 +36,10 @@ from .search import (
 SCHEMA_VERSION = 1
 
 INDEX_KINDS = ("W", "R", "E", "Ig", "If")
+
+# Encoder chunks joined into one write: a large report goes out in a few
+# big writes instead of one per token, with memory bounded by the block.
+JSON_BLOCK_CHUNKS = 65536
 
 
 def _load_graph(path: str) -> Graph:
@@ -170,7 +175,7 @@ def _cmd_verify(args: argparse.Namespace):
         dec, near = verify_conjecture_detail(args.conjecture, n, cfg)
         violations.extend(dec)
         borderline.extend(near)
-        count = sum(1 for _ in enumerate_trees(n))
+        count = count_trees(n)
         pairs_checked += count * (count - 1) // 2
     config = {
         "conjecture": args.conjecture,
@@ -189,13 +194,14 @@ def _cmd_verify(args: argparse.Namespace):
         "conjecture", "n", "code_a", "code_b", "index_a", "index_b",
         "a_value_a", "a_value_b", "b_value_a", "b_value_b", "gap_a", "gap_b", "margin",
     ]
-    rows = [
+    # Lazy: only --format csv consumes the rows.
+    rows = (
         [
             v.conjecture, v.n, v.code_a, v.code_b, v.index_pair[0], v.index_pair[1],
             v.values_a[0], v.values_b[0], v.values_a[1], v.values_b[1], v.gap_a, v.gap_b, v.margin,
         ]
         for v in violations
-    ]
+    )
     return config, payload, header, rows
 
 
@@ -365,9 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict[str, Any], header: list[str], rows: list[list[Any]], fmt: str, out) -> None:
+def _emit(report: dict[str, Any], header: list[str], rows: Iterable[list[Any]], fmt: str, out) -> None:
     if fmt == "json":
-        json.dump(report, out, indent=2, sort_keys=True)
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        while batch := "".join(itertools.islice(chunks, JSON_BLOCK_CHUNKS)):
+            out.write(batch)
         out.write("\n")
     else:
         buf = io.StringIO()

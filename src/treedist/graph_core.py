@@ -379,6 +379,27 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
                 yield Tree(Graph(n, tuple(sorted(edges))))
 
 
+def count_trees(n: int) -> int:
+    """Number of free trees on ``n`` vertices (OEIS A000055), without enumerating.
+
+    Otter's formula over the rooted counts r(k) (OEIS A000081):
+    t(n) = r(n) - sum_{i < n/2} r(i) r(n - i) - [n even] C(r(n/2), 2).
+    """
+    if n < 1:
+        raise GraphError(f"tree order must be >= 1, got {n}")
+    # r(k+1) = (1/k) sum_{j=1..k} (sum_{d | j} d r(d)) r(k - j + 1)
+    rooted = [0, 1]
+    divisor_sums = [0]
+    for k in range(1, n):
+        divisor_sums.append(sum(d * rooted[d] for d in range(1, k + 1) if k % d == 0))
+        rooted.append(sum(divisor_sums[j] * rooted[k - j + 1] for j in range(1, k + 1)) // k)
+    total = rooted[n] - sum(rooted[i] * rooted[n - i] for i in range(1, (n + 1) // 2))
+    if n % 2 == 0:
+        half = rooted[n // 2]
+        total -= half * (half - 1) // 2
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Constructive families
 # ---------------------------------------------------------------------------

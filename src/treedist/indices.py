@@ -143,5 +143,5 @@ def check_probability_vector(p: Sequence[float], tol: float = PROBABILITY_SUM_TO
 
 
 def _check_log_base(base: float) -> None:
-    if not (base > 1.0):
-        raise ValueError(f"log base must be > 1, got {base}")
+    if not (1.0 < base < math.inf):
+        raise ValueError(f"log base must be a finite real > 1, got {base}")

@@ -3,8 +3,8 @@
 The measure d(a, b) = 1 - exp(-((a - b) / sigma)^2) maps an invariant gap
 into [0, 1).  Because exp is strictly increasing, comparing two such
 distances at any common sigma is equivalent to comparing the raw absolute
-gaps; :func:`dominates` exposes that sigma-free reduction, and all
-conjecture verdicts in :mod:`treedist.search` route through it.
+gaps; :func:`dominates` exposes that sigma-free reduction, and the
+conjecture verdicts in :mod:`treedist.search` make the same gap comparison.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph_core import Graph, GraphError
-from .indices import check_probability_vector, wiener
+from .indices import _check_log_base, check_probability_vector, wiener
 
 # Exponents beyond this would underflow exp() to 0.0 and report a distance
 # of exactly 1.0, breaking the open upper bound; clamp just below 1 instead.
@@ -61,8 +61,13 @@ def d_index(value_a: float, value_b: float, sigma: float, kind: str | None = Non
 def dominates(gap_a: float, gap_b: float) -> bool:
     """True iff gap_a >= gap_b (ties count).
 
-    For every sigma > 0, d_index at gap_a is >= d_index at gap_b exactly
-    when this holds, so conjecture checks never need a sigma.
+    In exact arithmetic, for every sigma > 0, d_index at gap_a is >= d_index
+    at gap_b exactly when this holds, so conjecture checks never need a
+    sigma.  In floating point d_index is only non-decreasing in the gap:
+    distinct gaps can round to the same distance (3.9999999999999996 and 4.0
+    do at sigma = 1).  So a True verdict implies d_a >= d_b, and d_a > d_b
+    implies True, but equal distances decide nothing: the exact gap
+    comparison is the verdict.
     """
     if gap_a < 0.0 or gap_b < 0.0:
         raise ValueError(f"gaps must be non-negative, got {gap_a}, {gap_b}")
@@ -74,8 +79,7 @@ def theorem1_a(p_prime: Sequence[float], log_base: float = math.e) -> float:
 
     Entries must be strictly positive: log(1 + 1/p) diverges at 0.
     """
-    if not (log_base > 1.0):
-        raise ValueError(f"log base must be > 1, got {log_base}")
+    _check_log_base(log_base)
     check_probability_vector(p_prime)
     if any(x <= 0.0 for x in p_prime):
         raise ValueError("theorem-1 bound needs strictly positive entries")

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .graph_core import (
     CaterpillarSpec,
     GraphError,
@@ -52,8 +54,9 @@ class SearchConfig:
             raise ValueError(f"n_min must be >= 1, got {self.n_min}")
         if self.n_min > self.n_max:
             raise ValueError(f"n_min {self.n_min} exceeds n_max {self.n_max}")
-        if self.float_tol <= 0.0 or self.energy_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for name, tol in (("float_tol", self.float_tol), ("energy_tol", self.energy_tol)):
+            if not (0.0 < tol < math.inf):
+                raise ValueError(f"{name} must be a positive finite real, got {tol}")
         if self.scan_limit < 1:
             raise ValueError(f"scan_limit must be >= 1, got {self.scan_limit}")
         if self.fixed_t < 2:
@@ -126,7 +129,9 @@ def verify_conjecture_detail(
 
     A pair violates when its first-index gap is strictly smaller than its
     second-index gap; the verdict is decisive when the margin clears
-    ``cfg.float_tol``, borderline otherwise.
+    ``cfg.float_tol``, borderline otherwise.  Each tree's gaps to all later
+    trees are computed as one numpy row, and records are built for the
+    violating pairs only.
     """
     cfg = cfg or SearchConfig()
     if conjecture not in CONJECTURE_INDEX_PAIRS:
@@ -136,14 +141,17 @@ def verify_conjecture_detail(
     trees = list(enumerate_trees(n))
     a_vals, b_vals = _pair_values(trees, conjecture)
     codes = [t.code_hex for t in trees]
+    a_col = np.array(a_vals, dtype=np.float64)
+    b_col = np.array(b_vals, dtype=np.float64)
     violations: list[ViolationRecord] = []
     borderline: list[ViolationRecord] = []
-    for i in range(len(trees)):
-        for j in range(i + 1, len(trees)):
-            gap_a = abs(a_vals[i] - a_vals[j])
-            gap_b = abs(b_vals[i] - b_vals[j])
-            if gap_a >= gap_b:
-                continue
+    for i in range(len(trees) - 1):
+        gaps_a = np.abs(a_col[i] - a_col[i + 1 :])
+        gaps_b = np.abs(b_col[i] - b_col[i + 1 :])
+        # Negated so that a NaN gap counts as a violation, as a failed >= does.
+        hits = np.flatnonzero(~(gaps_a >= gaps_b))
+        for offset, gap_a, gap_b in zip(hits.tolist(), gaps_a[hits].tolist(), gaps_b[hits].tolist()):
+            j = i + 1 + offset
             first, second = (i, j) if codes[i] <= codes[j] else (j, i)
             record = ViolationRecord(
                 conjecture=conjecture,

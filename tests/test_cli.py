@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 
 import pytest
 
-from treedist import Tree, from_edge_list
-from treedist.cli import main
+from treedist import Tree, cli, from_edge_list
+from treedist.cli import _emit, build_parser, main
 
 P4 = "4 3\n0 1\n1 2\n2 3\n"
 K13 = "4 3\n0 1\n0 2\n0 3\n"
@@ -202,3 +203,71 @@ def test_disconnected_input_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["index", str(path), "--kind", "W"])
     assert code == 1
     assert "connected" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--conjecture", "1", "--n", "7", "--float-tol", "nan"], "float_tol"),
+        (["verify", "--conjecture", "1", "--n", "7", "--float-tol", "inf"], "float_tol"),
+        (["scan", "equienergetic", "--n-max", "6", "--energy-tol", "nan"], "energy_tol"),
+        (["index", "{p4}", "--kind", "Ig", "--log-base", "inf"], "log base"),
+        (["bounds", "--theorem", "1", "--p-prime", "0.5,0.5", "--log-base", "inf"], "log base"),
+    ],
+    ids=["verify-float-tol-nan", "verify-float-tol-inf", "equienergetic-energy-tol-nan",
+         "index-log-base-inf", "bounds-log-base-inf"],
+)
+def test_non_finite_inputs_exit_1(capsys, p4_file, argv, message):
+    code, out, err = run_cli(capsys, [arg.format(p4=p4_file) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and message in err
+
+
+def test_verify_csv_rows(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--conjecture", "1", "--n", "7", "--format", "csv"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("conjecture,n,code_a,code_b")
+    assert len(lines) == 3  # header + the two equal-Wiener violations
+
+
+def _report(argv):
+    """The report dict that ``main`` would emit for ``argv``, with its CSV parts."""
+    args = build_parser().parse_args(argv)
+    config, payload, header, rows = args.handler(args)
+    report = {"config": config, "payload": payload, "schema": 1, "wall_time_s": 0.125}
+    return report, header, rows
+
+
+class CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--conjecture", "3", "--n", "8"], ["scan", "equal-wiener", "--n", "8"]],
+    ids=["verify", "collision"],
+)
+def test_emit_json_golden_bytes(argv):
+    report, header, rows = _report(argv)
+    out = io.StringIO()
+    _emit(report, header, rows, "json", out)
+    assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("block", [cli.JSON_BLOCK_CHUNKS, 64])
+def test_emit_json_writes_in_blocks(monkeypatch, block):
+    monkeypatch.setattr(cli, "JSON_BLOCK_CHUNKS", block)
+    report, header, rows = _report(["verify", "--conjecture", "3", "--n", "10"])
+    tokens = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(report))
+    out = CountingStream()
+    _emit(report, header, rows, "json", out)
+    assert out.writes <= math.ceil(tokens / block) + 1
+    assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -21,6 +21,7 @@ from treedist import (
     bfs_distances,
     build_caterpillar,
     centroids,
+    count_trees,
     enumerate_trees,
     format_edge_list,
     from_edge_list,
@@ -145,6 +146,18 @@ def test_centroids():
 def test_enumeration_counts_1_to_12():
     for n, expected in enumerate(FREE_TREE_COUNTS, start=1):
         assert sum(1 for _ in enumerate_trees(n)) == expected
+
+
+def test_count_trees_matches_enumeration():
+    assert [count_trees(n) for n in range(1, 13)] == FREE_TREE_COUNTS
+    for n in range(1, 15):
+        assert count_trees(n) == sum(1 for _ in enumerate_trees(n))
+    assert count_trees(16) == 19320
+
+
+def test_count_trees_rejects_empty_order():
+    with pytest.raises(GraphError):
+        count_trees(0)
 
 
 def test_enumeration_small_orders_explicit():

@@ -7,7 +7,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_graph, path_graph
@@ -107,12 +107,19 @@ def test_sigma_free_reduction_randomized():
 _gap = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=4.0))
 
 
+# Distinct gaps can round to one distance (3.9999999999999996 and 4.0 do for
+# sigma in {0.5, 1, 2}), so only the two implications hold in floats; the
+# exact gap comparison stays the verdict.
 @settings(max_examples=300, deadline=None)
 @given(_gap, _gap, st.floats(min_value=0.5, max_value=20.0))
+@example(3.9999999999999996, 4.0, 1.0)
 def test_dominates_matches_d_index_order(gap_a, gap_b, sigma):
     da = d_index(gap_a, 0.0, sigma).distance
     db = d_index(gap_b, 0.0, sigma).distance
-    assert dominates(gap_a, gap_b) == (da >= db)
+    if dominates(gap_a, gap_b):
+        assert da >= db
+    if da > db:
+        assert dominates(gap_a, gap_b)
 
 
 # ---------------------------------------------------------------------------

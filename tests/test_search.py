@@ -33,8 +33,10 @@ from treedist import (
     wiener,
     wiener_edge_cut,
 )
+from treedist import search
 from treedist.graph_core import CaterpillarSpec, build_caterpillar
 from treedist.indices import energy, ig_entropy
+from treedist.search import CONJECTURE_INDEX_PAIRS, ViolationRecord
 
 
 def _quad(label: str) -> tuple[int, ...]:
@@ -121,6 +123,60 @@ def test_borderline_records_are_separate():
     violations, borderline = verify_conjecture_detail(1, 7)
     assert all(v.margin > 1e-9 for v in violations)
     assert all(0 < b.margin <= 1e-9 for b in borderline)
+
+
+def _pair_loop_oracle(conjecture, n, cfg):
+    """The plain double loop over every tree pair, one record per violating pair."""
+    trees = list(enumerate_trees(n))
+    a_vals, b_vals = search._pair_values(trees, conjecture)
+    codes = [t.code_hex for t in trees]
+    violations, borderline = [], []
+    for i in range(len(trees)):
+        for j in range(i + 1, len(trees)):
+            gap_a = abs(a_vals[i] - a_vals[j])
+            gap_b = abs(b_vals[i] - b_vals[j])
+            if gap_a >= gap_b:
+                continue
+            first, second = (i, j) if codes[i] <= codes[j] else (j, i)
+            record = ViolationRecord(
+                conjecture=conjecture,
+                n=n,
+                code_a=codes[first],
+                code_b=codes[second],
+                index_pair=CONJECTURE_INDEX_PAIRS[conjecture],
+                values_a=(a_vals[first], b_vals[first]),
+                values_b=(a_vals[second], b_vals[second]),
+                gap_a=gap_a,
+                gap_b=gap_b,
+                margin=gap_b - gap_a,
+            )
+            (violations if record.margin > cfg.float_tol else borderline).append(record)
+    key = lambda r: (-r.margin, r.code_a, r.code_b)
+    return sorted(violations, key=key), sorted(borderline, key=key)
+
+
+@pytest.mark.parametrize("float_tol", [1e-9, 0.05])
+@pytest.mark.parametrize("conjecture", [1, 2, 3])
+def test_pair_sweep_matches_double_loop_oracle(conjecture, float_tol):
+    cfg = SearchConfig(float_tol=float_tol)
+    for n in range(4, 11):
+        # Dataclass equality compares every float with ==, in list order.
+        assert verify_conjecture_detail(conjecture, n, cfg) == _pair_loop_oracle(conjecture, n, cfg)
+
+
+def test_pair_sweep_counts_nan_gaps_as_borderline(monkeypatch):
+    values = search._pair_values
+
+    def with_nan(trees, conjecture):
+        a, b = values(trees, conjecture)
+        return [math.nan] + a[1:], b
+
+    monkeypatch.setattr(search, "_pair_values", with_nan)
+    cfg = SearchConfig()
+    swept = verify_conjecture_detail(3, 7, cfg)
+    # NaN != NaN, so compare the bit-exact reprs instead.
+    assert repr(swept) == repr(_pair_loop_oracle(3, 7, cfg))
+    assert sum(math.isnan(r.gap_a) for r in swept[1]) == 10
 
 
 def test_verify_conjecture_validates_input():
