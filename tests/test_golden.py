@@ -1,0 +1,89 @@
+"""Golden reports: every subcommand's stdout, byte for byte, in JSON and CSV.
+
+Each case runs ``treedist.cli.main`` in-process from ``tests/golden`` (so
+the file names echoed in ``config`` are stable) and compares its stdout with
+``tests/golden/<case>.<format>``.  Only the value of ``wall_time_s`` is
+masked; every other byte, including float reprs and key order, must match.
+
+The fixtures were recorded from the code before the spectral and
+serialisation cleanup by running this module as a script from the root of
+a checkout::
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which rewrites every fixture.  Re-record only when a report is meant to
+change, and say why in the change that does it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import re
+from pathlib import Path
+
+import pytest
+
+from treedist.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+WALL_TIME = re.compile(r'("wall_time_s": )[^,\n]+')
+
+CASES = {
+    "verify-c1-4-8": ["verify", "--conjecture", "1", "--n", "4", "--n-max", "8"],
+    "verify-c2-4-10": ["verify", "--conjecture", "2", "--n", "4", "--n-max", "10"],
+    "verify-c3-4-8": ["verify", "--conjecture", "3", "--n", "4", "--n-max", "8"],
+    "scan-equienergetic-10": ["scan", "equienergetic", "--n-max", "10"],
+    "scan-equal-wiener-9": ["scan", "equal-wiener", "--n", "9"],
+    "scan-caterpillar-36": ["scan", "caterpillar", "--limit", "36"],
+    "scan-caterpillar-30-all-equal": ["scan", "caterpillar", "--limit", "30", "--all-integers", "--equal-order"],
+    "enumerate-7": ["enumerate", "--n", "7"],
+    "enumerate-7-count": ["enumerate", "--n", "7", "--count-only"],
+    "index-W": ["index", "tree9.edges", "--kind", "W"],
+    "index-R": ["index", "tree9.edges", "--kind", "R"],
+    "index-E": ["index", "tree9.edges", "--kind", "E"],
+    "index-Ig": ["index", "tree9.edges", "--kind", "Ig"],
+    "index-Ig-base2": ["index", "tree9.edges", "--kind", "Ig", "--log-base", "2"],
+    "index-If": ["index", "tree9.edges", "--kind", "If"],
+    "index-If-k2": ["index", "tree9.edges", "--kind", "If", "--k", "2", "--log-base", "10"],
+    "index-E-c4": ["index", "c4.edges", "--kind", "E"],
+    "index-Ig-c4": ["index", "c4.edges", "--kind", "Ig"],
+    "distance-W": ["distance", "tree9.edges", "tree9b.edges", "--kind", "W", "--sigma", "3"],
+    "distance-R": ["distance", "tree9.edges", "tree9b.edges", "--kind", "R"],
+    "distance-E": ["distance", "tree9.edges", "tree9b.edges", "--kind", "E"],
+    "distance-Ig": ["distance", "tree9.edges", "tree9b.edges", "--kind", "Ig", "--sigma", "0.01"],
+    "distance-If": ["distance", "tree9.edges", "tree9b.edges", "--kind", "If", "--k", "3"],
+    "distance-Ig-c4": ["distance", "c4.edges", "tree9.edges", "--kind", "Ig", "--log-base", "2"],
+    "bounds-theorem1": ["bounds", "--theorem", "1", "--p-prime", "0.2,0.3,0.5", "--sigma", "2"],
+    "bounds-theorem3": ["bounds", "--theorem", "3", "--n", "12", "--sigma", "50"],
+}
+FORMATS = ("json", "csv")
+
+
+def run_masked(argv: list[str]) -> str:
+    """Stdout of ``main(argv)`` run from the golden directory, wall time masked."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code == 0, argv
+    return WALL_TIME.sub(r'\1"<masked>"', out.getvalue())
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_report(case, fmt):
+    expected = (GOLDEN / f"{case}.{fmt}").read_text(encoding="utf-8")
+    assert run_masked(CASES[case] + ["--format", fmt]) == expected
+
+
+if __name__ == "__main__":
+    for case, argv in sorted(CASES.items()):
+        for fmt in FORMATS:
+            (GOLDEN / f"{case}.{fmt}").write_text(run_masked(argv + ["--format", fmt]), encoding="utf-8")
