@@ -10,7 +10,6 @@ from .graph_core import (
     NotATreeError,
     Tree,
     VertexRangeError,
-    ahu_code,
     attach_tree,
     bfs_distances,
     build_caterpillar,

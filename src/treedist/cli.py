@@ -22,7 +22,7 @@ from typing import Any, Iterable
 from . import __version__
 from .graph_core import Graph, GraphError, count_trees, enumerate_trees, parse_edge_list
 from .indices import IndexValue, energy, ifk_entropy, ig_entropy, randic, wiener
-from .measures import d_index, theorem1_a, theorem1_bound, theorem3_bound
+from .measures import WIENER_GAP_COEFF, d_index, theorem1_a, theorem1_bound, theorem3_bound
 from .search import (
     CollisionPair,
     SearchConfig,
@@ -61,50 +61,14 @@ def _compute_index(g: Graph, kind: str, k: int, log_base: float) -> IndexValue:
     raise ValueError(f"unknown index kind {kind!r}")
 
 
-def _edges_json(edges: tuple[tuple[int, int], ...]) -> list[list[int]]:
-    return [[u, v] for u, v in edges]
-
-
 def _edges_csv(edges: tuple[tuple[int, int], ...]) -> str:
     return ";".join(f"{u}-{v}" for u, v in edges)
 
 
-def _violation_dict(v: ViolationRecord) -> dict[str, Any]:
-    return {
-        "conjecture": v.conjecture,
-        "n": v.n,
-        "code_a": v.code_a,
-        "code_b": v.code_b,
-        "index_pair": list(v.index_pair),
-        "values_a": list(v.values_a),
-        "values_b": list(v.values_b),
-        "gap_a": v.gap_a,
-        "gap_b": v.gap_b,
-        "margin": v.margin,
-    }
-
-
 def _collision_dict(c: CollisionPair) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "kind": c.kind,
-        "code_a": c.code_a,
-        "code_b": c.code_b,
-        "edges_a": _edges_json(c.edges_a),
-        "edges_b": _edges_json(c.edges_b),
-        "n_a": c.n_a,
-        "n_b": c.n_b,
-        "shared_value": c.shared_value,
-        "secondary_gaps": {name: gap for name, gap in c.secondary_gaps},
-    }
-    if c.cospectral is not None:
-        out["cospectral"] = c.cospectral
-    if c.exact is not None:
-        out["exact"] = c.exact
-    if c.candidate is not None:
-        out["candidate"] = c.candidate
-    if c.label_a is not None:
-        out["label_a"] = c.label_a
-        out["label_b"] = c.label_b
+    """The pair's set fields, with ``secondary_gaps`` as a name -> gap object."""
+    out = {k: v for k, v in vars(c).items() if v is not None}
+    out["secondary_gaps"] = dict(c.secondary_gaps)
     return out
 
 
@@ -157,7 +121,7 @@ def _cmd_enumerate(args: argparse.Namespace):
     header = ["n", "code", "edges"]
     rows: list[list[Any]] = []
     if not args.count_only:
-        payload["trees"] = [{"code": t.code_hex, "edges": _edges_json(t.edges)} for t in trees]
+        payload["trees"] = [{"code": t.code_hex, "edges": t.edges} for t in trees]
         rows = [[args.n, t.code_hex, _edges_csv(t.edges)] for t in trees]
     else:
         header = ["n", "count"]
@@ -187,8 +151,10 @@ def _cmd_verify(args: argparse.Namespace):
         "conjecture": args.conjecture,
         "orders": list(range(args.n, n_max + 1)),
         "pairs_checked": pairs_checked,
-        "violations": [_violation_dict(v) for v in violations],
-        "borderline": [_violation_dict(v) for v in borderline],
+        # The records' own field dicts: the encoder writes tuples as arrays,
+        # and unlike dataclasses.asdict, vars copies nothing per record.
+        "violations": [vars(v) for v in violations],
+        "borderline": [vars(v) for v in borderline],
     }
     header = [
         "conjecture", "n", "code_a", "code_b", "index_a", "index_b",
@@ -286,12 +252,12 @@ def _cmd_bounds(args: argparse.Namespace):
         payload = {
             "theorem": 3,
             "n": args.n,
-            "coefficient": (math.sqrt(2.0) - 1.0) / 6.0,
+            "coefficient": WIENER_GAP_COEFF,
             "bound": bound,
             "asymptotic": True,
         }
         header = ["theorem", "n", "coefficient", "bound", "asymptotic"]
-        rows = [[3, args.n, (math.sqrt(2.0) - 1.0) / 6.0, bound, True]]
+        rows = [[3, args.n, WIENER_GAP_COEFF, bound, True]]
     return config, payload, header, rows
 
 

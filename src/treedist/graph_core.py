@@ -205,11 +205,6 @@ class Tree:
         return self.code.hex()
 
 
-def ahu_code(t: Tree) -> bytes:
-    """Canonical byte code: equal for isomorphic trees, distinct otherwise."""
-    return t.code
-
-
 def centroids(g: Graph) -> tuple[int, ...]:
     """The one or two centroid vertices of a tree-shaped graph."""
     n = g.n
@@ -264,24 +259,6 @@ def _rooted_code(g: Graph, root: int) -> bytes:
 def _canonical_code(g: Graph) -> bytes:
     # Bicentroidal trees take the lexicographically smaller rooted code.
     return min(_rooted_code(g, c) for c in centroids(g))
-
-
-def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
-    """Decide isomorphism by trying all vertex permutations (oracle, n <= ~8)."""
-    from itertools import permutations
-
-    if a.n != b.n or a.m != b.m:
-        return False
-    if sorted(a.degrees) != sorted(b.degrees):
-        return False
-    target = set(b.edges)
-    for perm in permutations(range(a.n)):
-        if all(
-            ((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])) in target
-            for u, v in a.edges
-        ):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph_core import DisconnectedGraphError, Graph, GraphError, Tree, bfs_distances
-from .spectral import TAU_ZERO, eigenvalues
+from .graph_core import DisconnectedGraphError, Graph, GraphError, Tree, _dfs_order, bfs_distances, is_connected
+from .spectral import eigenvalues
 
 PROBABILITY_SUM_TOL = 1e-12
 
@@ -38,8 +38,6 @@ class IndexValue:
 
 
 def _require_connected(g: Graph, what: str) -> None:
-    from .graph_core import is_connected
-
     if not is_connected(g):
         raise DisconnectedGraphError(f"{what} requires a connected graph")
 
@@ -59,8 +57,6 @@ def wiener_edge_cut(t: Tree) -> int:
     ``s`` is the vertex count on one side of the edge.  Independent of the
     all-pairs BFS route and must agree with it exactly.
     """
-    from .graph_core import _dfs_order
-
     n = t.n
     order, parent = _dfs_order(t.graph, 0)
     size = [1] * n
@@ -85,17 +81,12 @@ def energy(g: Graph) -> IndexValue:
 def ig_entropy(g: Graph, log_base: float = math.e) -> IndexValue:
     """Spectral entropy log E - (1/E) * Sum |lambda| log |lambda|.
 
-    Eigenvalues with |lambda| <= TAU_ZERO are excluded; their limit
-    contribution x log x -> 0 vanishes, so the exclusion is exact.
+    See :meth:`Spectrum.entropy`, rescaled to ``log_base``.
     """
     _check_log_base(log_base)
     if g.m == 0:
         raise GraphError("spectral entropy needs at least one edge (E > 0)")
-    spec = eigenvalues(g)
-    e_total = spec.abs_sum()
-    weighted = sum(abs(v) * math.log(abs(v)) for v in spec.values if abs(v) > TAU_ZERO)
-    value = (math.log(e_total) - weighted / e_total) / math.log(log_base)
-    return IndexValue("Ig", value, log_base=log_base)
+    return IndexValue("Ig", eigenvalues(g).entropy() / math.log(log_base), log_base=log_base)
 
 
 def ifk_entropy(g: Graph, k: int = 1, log_base: float = math.e) -> IndexValue:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph_core import Graph, GraphError
+from .graph_core import Graph, GraphError, is_connected
 from .indices import _check_log_base, check_probability_vector, wiener
 
 # Exponents beyond this would underflow exp() to 0.0 and report a distance
@@ -115,8 +115,6 @@ def wiener_deletion_gap(g: Graph, edge: tuple[int, int]) -> int:
     """Wiener increase W(G - e) - W(G) for a cyclic edge ``e`` (always >= 1)."""
     u, v = edge
     h = g.delete_edge(u, v)
-    from .graph_core import is_connected
-
     if not is_connected(h):
         raise BridgeEdgeError(f"edge ({u}, {v}) is a bridge; deletion gap needs a cyclic edge")
     return int(wiener(h).value - wiener(g).value)

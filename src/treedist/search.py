@@ -29,11 +29,9 @@ from .graph_core import (
     enumerate_trees,
 )
 from .indices import ifk_entropy, randic, wiener, wiener_edge_cut
-from .spectral import Spectrum, TAU_ZERO, eigenvalues, is_cospectral
+from .spectral import Spectrum, eigenvalues, is_cospectral
 
 CONJECTURE_INDEX_PAIRS = {1: ("W", "R"), 2: ("E", "Ig"), 3: ("R", "If1")}
-
-REVERIFY_OFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,12 +97,6 @@ class CollisionPair:
     label_b: str | None = None
 
 
-def _ig_from_spectrum(spec: Spectrum, log_base: float = math.e) -> float:
-    e_total = spec.abs_sum()
-    weighted = sum(abs(v) * math.log(abs(v)) for v in spec.values if abs(v) > TAU_ZERO)
-    return (math.log(e_total) - weighted / e_total) / math.log(log_base)
-
-
 def _pair_values(trees: list[Tree], conjecture: int) -> tuple[list[float], list[float]]:
     """Per-tree values of the two indices compared by the given conjecture."""
     if conjecture == 1:
@@ -113,7 +105,7 @@ def _pair_values(trees: list[Tree], conjecture: int) -> tuple[list[float], list[
     elif conjecture == 2:
         spectra = [eigenvalues(t.graph) for t in trees]
         a = [s.abs_sum() for s in spectra]
-        b = [_ig_from_spectrum(s) for s in spectra]
+        b = [s.entropy() for s in spectra]
     elif conjecture == 3:
         a = [randic(t.graph).value for t in trees]
         b = [ifk_entropy(t.graph, 1).value for t in trees]
@@ -212,7 +204,7 @@ def find_equal_wiener_pairs(n: int, cfg: SearchConfig | None = None) -> list[Col
             values[idx] = {
                 "R": randic(g).value,
                 "E": spec.abs_sum(),
-                "Ig": _ig_from_spectrum(spec),
+                "Ig": spec.entropy(),
                 "If1": ifk_entropy(g, 1).value,
             }
         for ii in range(len(members)):
@@ -421,42 +413,41 @@ def _caterpillar_pair(
 def equienergetic_scan(cfg: SearchConfig | None = None) -> list[CollisionPair]:
     """Tree pairs with numerically equal energy, flagged cospectral or not.
 
-    For each order in cfg.n_min..cfg.n_max, trees are sorted by energy and
-    neighbours within cfg.energy_tol are paired.  Every pair is re-verified
-    with the eigensolver at the tightened threshold; survivors carry the
-    refined energy gap, an exact cospectrality flag, and the spectral
-    entropy gap.  Non-cospectral survivors with a decisive entropy gap are
-    marked as candidate refutations of the energy-entropy conjecture.
+    For each order in cfg.n_min..cfg.n_max, each tree's spectrum is computed
+    once, trees are sorted by energy and neighbours within cfg.energy_tol
+    are paired.  Every pair carries its energy gap, an exact cospectrality
+    flag, and the spectral entropy gap.  Non-cospectral pairs with a
+    decisive entropy gap are marked as candidate refutations of the
+    energy-entropy conjecture.
     """
     cfg = cfg or SearchConfig()
     records: list[CollisionPair] = []
     for n in range(cfg.n_min, cfg.n_max + 1):
         trees = list(enumerate_trees(n))
-        energies = [eigenvalues(t.graph).abs_sum() for t in trees]
+        spectra = [eigenvalues(t.graph) for t in trees]
+        energies = [s.abs_sum() for s in spectra]
         order = sorted(range(len(trees)), key=lambda i: (energies[i], trees[i].code_hex))
         for pos in range(len(order)):
             i = order[pos]
             nxt = pos + 1
             while nxt < len(order) and energies[order[nxt]] - energies[i] <= cfg.energy_tol:
-                record = _equienergetic_pair(trees[i], trees[order[nxt]], cfg)
+                j = order[nxt]
+                records.append(_equienergetic_pair(trees[i], trees[j], spectra[i], spectra[j], cfg))
                 nxt += 1
-                if record is not None:
-                    records.append(record)
     records.sort(key=lambda p: (p.n_a, p.shared_value, p.code_a, p.code_b))
     return records
 
 
-def _equienergetic_pair(tree_a: Tree, tree_b: Tree, cfg: SearchConfig) -> CollisionPair | None:
+def _equienergetic_pair(
+    tree_a: Tree, tree_b: Tree, spec_a: Spectrum, spec_b: Spectrum, cfg: SearchConfig
+) -> CollisionPair:
     if tree_a.code_hex > tree_b.code_hex:
         tree_a, tree_b = tree_b, tree_a
-    spec_a = eigenvalues(tree_a.graph, off_tol=REVERIFY_OFF_TOL)
-    spec_b = eigenvalues(tree_b.graph, off_tol=REVERIFY_OFF_TOL)
+        spec_a, spec_b = spec_b, spec_a
     e_a, e_b = spec_a.abs_sum(), spec_b.abs_sum()
     energy_gap = abs(e_a - e_b)
-    if energy_gap > cfg.energy_tol:
-        return None
     cospectral = is_cospectral(tree_a.graph, tree_b.graph)
-    ig_gap = abs(_ig_from_spectrum(spec_a) - _ig_from_spectrum(spec_b))
+    ig_gap = abs(spec_a.entropy() - spec_b.entropy())
     return CollisionPair(
         kind="energy",
         code_a=tree_a.code_hex,

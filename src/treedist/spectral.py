@@ -2,9 +2,7 @@
 
 The eigensolver is a cyclic Jacobi iteration on the dense symmetric 0/1
 adjacency matrix.  It is simple, unconditionally convergent, and accurate to
-well below 1e-10 at the matrix orders this package works at (n <= 64); the
-sweep threshold is exposed so searches can re-verify borderline candidates
-at a tighter setting.
+well below 1e-10 at the matrix orders this package works at (n <= 64).
 
 Characteristic polynomials are computed over exact arbitrary-precision
 integers (Faddeev-LeVerrier), which makes cospectrality a decidable exact
@@ -25,7 +23,7 @@ from .graph_core import Graph, GraphError
 # tree eigenvalue at desk scale and well above solver error.
 TAU_ZERO = 1e-9
 
-DEFAULT_OFF_TOL = 1e-12
+OFF_TOL = 1e-12
 MAX_SWEEPS = 100
 
 
@@ -38,6 +36,16 @@ class Spectrum:
 
     def abs_sum(self) -> float:
         return float(sum(abs(v) for v in self.values))
+
+    def entropy(self) -> float:
+        """Spectral entropy log E - (1/E) * Sum |lambda| log |lambda|, natural log.
+
+        Eigenvalues with |lambda| <= TAU_ZERO are excluded; their limit
+        contribution x log x -> 0 vanishes, so the exclusion is exact.
+        """
+        e_total = self.abs_sum()
+        weighted = sum(abs(v) * math.log(abs(v)) for v in self.values if abs(v) > TAU_ZERO)
+        return math.log(e_total) - weighted / e_total
 
 
 @dataclass(frozen=True)
@@ -79,22 +87,22 @@ def _off_norm(a: np.ndarray) -> float:
     return math.sqrt(max(0.0, float(np.sum(a * a) - np.sum(np.diag(a) ** 2))))
 
 
-def jacobi_eigenvalues(a: np.ndarray, off_tol: float = DEFAULT_OFF_TOL, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
+def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps row by row until the off-diagonal Frobenius norm drops to
-    ``off_tol`` or ``max_sweeps`` is hit.  Returns the diagonal sorted
+    ``OFF_TOL`` or ``MAX_SWEEPS`` is hit.  Returns the diagonal sorted
     descending.
     """
     a = np.array(a, dtype=np.float64, copy=True)
     n = a.shape[0]
     if n == 1:
         return a.diagonal().copy()
-    # Entries this small cannot push the off-diagonal norm above off_tol,
+    # Entries this small cannot push the off-diagonal norm above OFF_TOL,
     # so rotating on them only wastes sweeps (and risks overflow in theta).
-    skip_tol = off_tol / (2.0 * n)
-    for _ in range(max_sweeps):
-        if _off_norm(a) <= off_tol:
+    skip_tol = OFF_TOL / (2.0 * n)
+    for _ in range(MAX_SWEEPS):
+        if _off_norm(a) <= OFF_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -119,13 +127,13 @@ def jacobi_eigenvalues(a: np.ndarray, off_tol: float = DEFAULT_OFF_TOL, max_swee
     return values.copy()
 
 
-def eigenvalues(g: Graph, off_tol: float = DEFAULT_OFF_TOL) -> Spectrum:
+def eigenvalues(g: Graph) -> Spectrum:
     """Adjacency spectrum of ``g``, sorted descending."""
     if g.n < 1:
         raise GraphError("spectrum of the empty graph is undefined")
     if g.m == 0:
         return Spectrum((0.0,) * g.n, g.n)
-    vals = jacobi_eigenvalues(adjacency_matrix(g), off_tol=off_tol)
+    vals = jacobi_eigenvalues(adjacency_matrix(g))
     return Spectrum(tuple(float(v) for v in vals), g.n)
 
 

@@ -1,6 +1,8 @@
-"""Shared test helpers: small graph builders and the acceptance summary hook."""
+"""Shared test helpers: graph builders, the isomorphism oracle, and the acceptance summary hook."""
 
 from __future__ import annotations
+
+from itertools import permutations
 
 from treedist import Graph, Tree, from_edge_list
 
@@ -34,3 +36,19 @@ def path_tree(n: int) -> Tree:
 
 def star_tree(q: int) -> Tree:
     return Tree(star_graph(q))
+
+
+def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
+    """Decide isomorphism by trying all vertex permutations (oracle, n <= ~8)."""
+    if a.n != b.n or a.m != b.m:
+        return False
+    if sorted(a.degrees) != sorted(b.degrees):
+        return False
+    target = set(b.edges)
+    for perm in permutations(range(a.n)):
+        if all(
+            ((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])) in target
+            for u, v in a.edges
+        ):
+            return True
+    return False

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import cycle_graph, path_graph, path_tree, star_graph, star_tree
+from conftest import brute_force_isomorphic, cycle_graph, path_graph, path_tree, star_graph, star_tree
 from treedist import (
     CaterpillarSpec,
     DisconnectedGraphError,
@@ -28,7 +28,7 @@ from treedist import (
     parse_edge_list,
     unit_edit_neighbors,
 )
-from treedist.graph_core import Graph, brute_force_isomorphic
+from treedist.graph_core import Graph
 
 # Free tree counts for n = 1..12, cross-checked against the Pruefer
 # generate-and-dedup oracle for n <= 8 in test_acceptance.

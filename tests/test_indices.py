@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import cycle_graph, path_graph, star_graph
 from treedist import (
+    TAU_ZERO,
     DisconnectedGraphError,
     GraphError,
     Tree,
     avg_distance,
+    eigenvalues,
     energy,
     enumerate_trees,
     from_edge_list,
@@ -95,8 +97,6 @@ def test_energy_examples():
 
 
 def test_energy_is_twice_positive_part_on_trees():
-    from treedist import eigenvalues
-
     for n in range(2, 11):
         for tree in enumerate_trees(n):
             spec = eigenvalues(tree.graph)
@@ -112,6 +112,25 @@ def test_ig_entropy_stars_equal_log2_any_base():
     for q in range(2, 13):
         assert ig_entropy(star_graph(q)).value == pytest.approx(math.log(2), abs=1e-9)
     assert ig_entropy(star_graph(5), log_base=2.0).value == pytest.approx(1.0, abs=1e-9)
+
+
+def _ig_inline(g, log_base):
+    """The spectral entropy formula as ig_entropy once evaluated it inline."""
+    spec = eigenvalues(g)
+    e_total = spec.abs_sum()
+    weighted = sum(abs(v) * math.log(abs(v)) for v in spec.values if abs(v) > TAU_ZERO)
+    return (math.log(e_total) - weighted / e_total) / math.log(log_base)
+
+
+@pytest.mark.parametrize("log_base", [math.e, 2.0], ids=["e", "2"])
+def test_ig_entropy_matches_inline_formula_bit_for_bit(log_base):
+    graphs = [t.graph for n in range(2, 10) for t in enumerate_trees(n)] + [cycle_graph(4)]
+    for g in graphs:
+        expected = _ig_inline(g, log_base)
+        assert ig_entropy(g, log_base).value == expected
+        if log_base == math.e:
+            # The searches read Spectrum.entropy directly at the default base.
+            assert eigenvalues(g).entropy() == expected
 
 
 def test_ig_entropy_rejects_edgeless():

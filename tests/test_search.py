@@ -19,6 +19,7 @@ from treedist import (
     caterpillar_r_core_exact,
     caterpillar_scan,
     check_wiener_preserving_attachment,
+    count_trees,
     d_index,
     enumerate_trees,
     equienergetic_scan,
@@ -394,6 +395,19 @@ def test_equienergetic_candidate_is_exactly_equienergetic():
         energies.append(sum(abs(r.evalf(50)) for r in sympy.real_roots(poly)))
     assert abs(energies[0] - energies[1]) < 1e-45
     assert abs(energies[0] - (6 + 2 * sympy.sqrt(5)).evalf(50)) < 1e-45
+
+
+def test_equienergetic_scan_solves_each_spectrum_once(monkeypatch):
+    solve = search.eigenvalues
+    solved = []
+
+    def counted(g):
+        solved.append(g)
+        return solve(g)
+
+    monkeypatch.setattr(search, "eigenvalues", counted)
+    equienergetic_scan(SearchConfig(n_min=4, n_max=10))
+    assert len(solved) == sum(count_trees(n) for n in range(4, 11)) == 198
 
 
 def test_equienergetic_records_are_deterministic_and_distinct():
