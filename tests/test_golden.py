@@ -18,7 +18,9 @@ change, and say why in the change that does it.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import json
 import os
 import re
 from pathlib import Path
@@ -61,6 +63,15 @@ CASES = {
 }
 FORMATS = ("json", "csv")
 
+# Reports too large to keep whole: only the SHA-256 of each format's masked
+# stdout is kept, in ``tests/golden/<case>.sha256`` as {format: digest}.
+# The equienergetic scan to n = 12 holds 114 records, among them pairs of
+# exactly equal energy whose order comes from the solver's rounding, so its
+# digest pins every float bit of the spectra as well as the record order.
+DIGEST_CASES = {
+    "scan-equienergetic-4-12": ["scan", "equienergetic", "--n-min", "4", "--n-max", "12"],
+}
+
 
 def run_masked(argv: list[str]) -> str:
     """Stdout of ``main(argv)`` run from the golden directory, wall time masked."""
@@ -76,6 +87,14 @@ def run_masked(argv: list[str]) -> str:
     return WALL_TIME.sub(r'\1"<masked>"', out.getvalue())
 
 
+def masked_digests(argv: list[str]) -> dict[str, str]:
+    """SHA-256 of the masked stdout of ``main(argv)`` in each format."""
+    return {
+        fmt: hashlib.sha256(run_masked(argv + ["--format", fmt]).encode("utf-8")).hexdigest()
+        for fmt in FORMATS
+    }
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_report(case, fmt):
@@ -83,7 +102,16 @@ def test_golden_report(case, fmt):
     assert run_masked(CASES[case] + ["--format", fmt]) == expected
 
 
+def test_equienergetic_tie_order_digest():
+    case = "scan-equienergetic-4-12"
+    expected = json.loads((GOLDEN / f"{case}.sha256").read_text(encoding="utf-8"))
+    assert masked_digests(DIGEST_CASES[case]) == expected
+
+
 if __name__ == "__main__":
     for case, argv in sorted(CASES.items()):
         for fmt in FORMATS:
             (GOLDEN / f"{case}.{fmt}").write_text(run_masked(argv + ["--format", fmt]), encoding="utf-8")
+    for case, argv in sorted(DIGEST_CASES.items()):
+        digests = json.dumps(masked_digests(argv), indent=2, sort_keys=True) + "\n"
+        (GOLDEN / f"{case}.sha256").write_text(digests, encoding="utf-8")
