@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from . import __version__
 from .graph_core import Graph, GraphError, count_trees, enumerate_trees, parse_edge_list
@@ -118,15 +118,14 @@ def _cmd_enumerate(args: argparse.Namespace):
     trees = list(enumerate_trees(args.n))
     config = {"n": args.n, "count_only": args.count_only}
     payload: dict[str, Any] = {"n": args.n, "count": len(trees)}
-    header = ["n", "code", "edges"]
-    rows: list[list[Any]] = []
-    if not args.count_only:
+    if args.count_only:
+        return config, payload, ["n", "count"], [[args.n, len(trees)]]
+    # Each format builds only its own records: the tree list for JSON, the
+    # lazy rows for CSV.
+    if args.format == "json":
         payload["trees"] = [{"code": t.code_hex, "edges": t.edges} for t in trees]
-        rows = [[args.n, t.code_hex, _edges_csv(t.edges)] for t in trees]
-    else:
-        header = ["n", "count"]
-        rows = [[args.n, len(trees)]]
-    return config, payload, header, rows
+    rows = ([args.n, t.code_hex, _edges_csv(t.edges)] for t in trees)
+    return config, payload, ["n", "code", "edges"], rows
 
 
 def _cmd_verify(args: argparse.Namespace):
@@ -177,18 +176,15 @@ _COLLISION_HEADER = [
 ]
 
 
-def _collision_rows(pairs: list[CollisionPair]) -> list[list[Any]]:
-    rows = []
+def _collision_rows(pairs: list[CollisionPair]) -> Iterator[list[Any]]:
+    """CSV rows of the pairs, built lazily: only --format csv consumes them."""
     for c in pairs:
         gaps = ";".join(f"{name}={gap!r}" for name, gap in c.secondary_gaps)
-        rows.append(
-            [
-                c.kind, c.n_a, c.n_b, c.shared_value, c.code_a, c.code_b,
-                gaps, c.cospectral, c.exact, c.candidate, c.label_a, c.label_b,
-                _edges_csv(c.edges_a), _edges_csv(c.edges_b),
-            ]
-        )
-    return rows
+        yield [
+            c.kind, c.n_a, c.n_b, c.shared_value, c.code_a, c.code_b,
+            gaps, c.cospectral, c.exact, c.candidate, c.label_a, c.label_b,
+            _edges_csv(c.edges_a), _edges_csv(c.edges_b),
+        ]
 
 
 def _cmd_scan_caterpillar(args: argparse.Namespace):

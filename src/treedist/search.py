@@ -29,7 +29,7 @@ from .graph_core import (
     enumerate_trees,
 )
 from .indices import ifk_entropy, randic, wiener, wiener_edge_cut
-from .spectral import Spectrum, eigenvalues, is_cospectral
+from .spectral import Spectrum, is_cospectral, spectra
 
 CONJECTURE_INDEX_PAIRS = {1: ("W", "R"), 2: ("E", "Ig"), 3: ("R", "If1")}
 
@@ -103,9 +103,9 @@ def _pair_values(trees: list[Tree], conjecture: int) -> tuple[list[float], list[
         a = [float(wiener(t.graph).value) for t in trees]
         b = [randic(t.graph).value for t in trees]
     elif conjecture == 2:
-        spectra = [eigenvalues(t.graph) for t in trees]
-        a = [s.abs_sum() for s in spectra]
-        b = [s.entropy() for s in spectra]
+        specs = spectra([t.graph for t in trees])
+        a = [s.abs_sum() for s in specs]
+        b = [s.entropy() for s in specs]
     elif conjecture == 3:
         a = [randic(t.graph).value for t in trees]
         b = [ifk_entropy(t.graph, 1).value for t in trees]
@@ -186,27 +186,24 @@ def find_equal_wiener_pairs(n: int, cfg: SearchConfig | None = None) -> list[Col
     cfg = cfg or SearchConfig()
     trees = list(enumerate_trees(n))
     by_wiener: dict[int, list[int]] = {}
-    w_vals: list[int] = []
     for idx, t in enumerate(trees):
         w = int(wiener(t.graph).value)
         if w != wiener_edge_cut(t):
             raise AssertionError(f"Wiener strategies disagree on tree {t.code_hex}")
-        w_vals.append(w)
         by_wiener.setdefault(w, []).append(idx)
+    groups = [(w, members) for w, members in sorted(by_wiener.items()) if len(members) > 1]
+    colliding = [idx for _, members in groups for idx in members]
+    values: dict[int, dict[str, float]] = {}
+    for idx, spec in zip(colliding, spectra([trees[idx].graph for idx in colliding])):
+        g = trees[idx].graph
+        values[idx] = {
+            "R": randic(g).value,
+            "E": spec.abs_sum(),
+            "Ig": spec.entropy(),
+            "If1": ifk_entropy(g, 1).value,
+        }
     pairs: list[CollisionPair] = []
-    for w, members in sorted(by_wiener.items()):
-        if len(members) < 2:
-            continue
-        values = {}
-        for idx in members:
-            g = trees[idx].graph
-            spec = eigenvalues(g)
-            values[idx] = {
-                "R": randic(g).value,
-                "E": spec.abs_sum(),
-                "Ig": spec.entropy(),
-                "If1": ifk_entropy(g, 1).value,
-            }
+    for w, members in groups:
         for ii in range(len(members)):
             for jj in range(ii + 1, len(members)):
                 a, b = members[ii], members[jj]
@@ -413,9 +410,9 @@ def _caterpillar_pair(
 def equienergetic_scan(cfg: SearchConfig | None = None) -> list[CollisionPair]:
     """Tree pairs with numerically equal energy, flagged cospectral or not.
 
-    For each order in cfg.n_min..cfg.n_max, each tree's spectrum is computed
-    once, trees are sorted by energy and neighbours within cfg.energy_tol
-    are paired.  Every pair carries its energy gap, an exact cospectrality
+    For each order in cfg.n_min..cfg.n_max, the order's spectra are solved
+    in one ``spectra`` call, trees are sorted by energy and neighbours
+    within cfg.energy_tol are paired.  Every pair carries its energy gap, an exact cospectrality
     flag, and the spectral entropy gap.  Non-cospectral pairs with a
     decisive entropy gap are marked as candidate refutations of the
     energy-entropy conjecture.
@@ -424,15 +421,15 @@ def equienergetic_scan(cfg: SearchConfig | None = None) -> list[CollisionPair]:
     records: list[CollisionPair] = []
     for n in range(cfg.n_min, cfg.n_max + 1):
         trees = list(enumerate_trees(n))
-        spectra = [eigenvalues(t.graph) for t in trees]
-        energies = [s.abs_sum() for s in spectra]
+        specs = spectra([t.graph for t in trees])
+        energies = [s.abs_sum() for s in specs]
         order = sorted(range(len(trees)), key=lambda i: (energies[i], trees[i].code_hex))
         for pos in range(len(order)):
             i = order[pos]
             nxt = pos + 1
             while nxt < len(order) and energies[order[nxt]] - energies[i] <= cfg.energy_tol:
                 j = order[nxt]
-                records.append(_equienergetic_pair(trees[i], trees[j], spectra[i], spectra[j], cfg))
+                records.append(_equienergetic_pair(trees[i], trees[j], specs[i], specs[j], cfg))
                 nxt += 1
     records.sort(key=lambda p: (p.n_a, p.shared_value, p.code_a, p.code_b))
     return records

@@ -1,10 +1,14 @@
-"""Shared test helpers: graph builders, the isomorphism oracle, and the acceptance summary hook."""
+"""Shared test helpers: graph builders, oracles, and the acceptance summary hook."""
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
+import numpy as np
+
 from treedist import Graph, Tree, from_edge_list
+from treedist.spectral import MAX_SWEEPS, OFF_TOL
 
 # Pass/fail lines recorded by tests/test_acceptance.py, echoed after the run.
 ACCEPTANCE_LINES: list[str] = []
@@ -52,3 +56,68 @@ def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
         ):
             return True
     return False
+
+
+def scalar_jacobi_eigenvalues(g: Graph) -> np.ndarray:
+    """Adjacency eigenvalues by cyclic Jacobi on one matrix (oracle), sorted descending.
+
+    The rotation order, skip rule and stopping rule are those of the stacked
+    solver behind ``spectra``, written with Python float scalars, so the two
+    must agree bit for bit.
+    """
+    a = np.zeros((g.n, g.n), dtype=np.float64)
+    for u, v in g.edges:
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    n = a.shape[0]
+    if n == 1:
+        return a.diagonal().copy()
+    skip_tol = OFF_TOL / (2.0 * n)
+    for _ in range(MAX_SWEEPS):
+        if math.sqrt(max(0.0, float(np.sum(a * a) - np.sum(np.diag(a) ** 2)))) <= OFF_TOL:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = float(a[p, q])
+                if abs(apq) <= skip_tol:
+                    continue
+                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+    return np.sort(a.diagonal())[::-1].copy()
+
+
+def dense_char_poly(g: Graph) -> tuple[int, ...]:
+    """Characteristic polynomial coefficients by dense Faddeev-LeVerrier (oracle).
+
+    Ascending powers, over Python integers, with the full n x n products.
+    """
+    n = g.n
+    adj = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        adj[u][v] = 1
+        adj[v][u] = 1
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        prod = [[sum(adj[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            prod[i][i] += coeffs[n - k + 1]
+        m = prod
+        trace = sum(adj[i][l] * m[l][i] for i in range(n) for l in range(n))
+        q, r = divmod(-trace, k)
+        assert r == 0, "Faddeev-LeVerrier division was not exact"
+        coeffs[n - k] = q
+    return tuple(coeffs)

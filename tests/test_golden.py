@@ -68,6 +68,8 @@ FORMATS = ("json", "csv")
 # The equienergetic scan to n = 12 holds 114 records, among them pairs of
 # exactly equal energy whose order comes from the solver's rounding, so its
 # digest pins every float bit of the spectra as well as the record order.
+# It was recorded from the one-matrix-at-a-time Jacobi solver, before the
+# stacked one replaced it.
 DIGEST_CASES = {
     "scan-equienergetic-4-12": ["scan", "equienergetic", "--n-min", "4", "--n-max", "12"],
 }

@@ -398,16 +398,17 @@ def test_equienergetic_candidate_is_exactly_equienergetic():
 
 
 def test_equienergetic_scan_solves_each_spectrum_once(monkeypatch):
-    solve = search.eigenvalues
-    solved = []
+    solve = search.spectra
+    calls = []
 
-    def counted(g):
-        solved.append(g)
-        return solve(g)
+    def counted(graphs):
+        calls.append(len(graphs))
+        return solve(graphs)
 
-    monkeypatch.setattr(search, "eigenvalues", counted)
+    monkeypatch.setattr(search, "spectra", counted)
     equienergetic_scan(SearchConfig(n_min=4, n_max=10))
-    assert len(solved) == sum(count_trees(n) for n in range(4, 11)) == 198
+    assert sum(calls) == sum(count_trees(n) for n in range(4, 11)) == 198
+    assert len(calls) == 7
 
 
 def test_equienergetic_records_are_deterministic_and_distinct():

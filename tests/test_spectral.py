@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 import sympy
 
-from conftest import path_graph, star_graph
-from treedist import GraphError, char_poly, eigenvalues, enumerate_trees, is_cospectral
+from conftest import cycle_graph, dense_char_poly, path_graph, scalar_jacobi_eigenvalues, star_graph
+from treedist import GraphError, char_poly, eigenvalues, enumerate_trees, is_cospectral, spectra
+from treedist import spectral
 from treedist.graph_core import from_edge_list
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -134,3 +136,51 @@ def test_isomorphic_enumerated_trees_cospectral_by_code():
             buckets[key] = buckets.get(key, 0) + 1
         census[n] = sum(c * (c - 1) // 2 for c in buckets.values())
     assert census == {4: 0, 5: 0, 6: 0, 7: 0, 8: 1, 9: 5}
+
+
+def _oracle_graphs_by_order():
+    """Every tree on 2..11 vertices, plus C4, K4 and a forest with an isolated vertex."""
+    graphs = {n: [t.graph for t in enumerate_trees(n)] for n in range(2, 12)}
+    graphs[4] += [cycle_graph(4), from_edge_list(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])]
+    graphs[5].append(from_edge_list(5, [(0, 1), (1, 2), (1, 3)]))
+    return graphs
+
+
+def _bits(values) -> tuple[bytes, bytes]:
+    array = np.asarray(values, dtype=np.float64)
+    return array.tobytes(), np.signbit(array).tobytes()
+
+
+def test_spectra_match_scalar_jacobi_bit_for_bit():
+    for n, graphs in _oracle_graphs_by_order().items():
+        for g, spec in zip(graphs, spectra(graphs), strict=True):
+            assert spec.n == n
+            assert _bits(spec.values) == _bits(scalar_jacobi_eigenvalues(g)), g.edges
+
+
+def test_eigenvalues_is_a_stack_of_one():
+    for n in range(1, 10):
+        graphs = [t.graph for t in enumerate_trees(n)]
+        assert [_bits(eigenvalues(g).values) for g in graphs] == [_bits(s.values) for s in spectra(graphs)]
+
+
+def test_spectra_blocks_do_not_change_bits(monkeypatch):
+    graphs = [t.graph for t in enumerate_trees(9)]
+    whole = [_bits(s.values) for s in spectra(graphs)]
+    # Blocks of 5 matrices: 47 trees make ten blocks, the last one short.
+    monkeypatch.setattr(spectral, "STACK_BYTES", 5 * 8 * 9 * 9)
+    assert [_bits(s.values) for s in spectra(graphs)] == whole
+
+
+def test_spectra_edge_cases():
+    assert spectra([]) == []
+    with pytest.raises(GraphError):
+        spectra([path_graph(4), path_graph(5)])
+    with pytest.raises(GraphError):
+        spectra([from_edge_list(0, [])])
+
+
+def test_char_poly_matches_dense_oracle():
+    for graphs in _oracle_graphs_by_order().values():
+        for g in graphs:
+            assert char_poly(g).coeffs == dense_char_poly(g), g.edges
