@@ -37,6 +37,7 @@ CASES = {
     "verify-c1-4-8": ["verify", "--conjecture", "1", "--n", "4", "--n-max", "8"],
     "verify-c2-4-10": ["verify", "--conjecture", "2", "--n", "4", "--n-max", "10"],
     "verify-c3-4-8": ["verify", "--conjecture", "3", "--n", "4", "--n-max", "8"],
+    "verify-c1-7": ["verify", "--conjecture", "1", "--n", "7"],
     "scan-equienergetic-10": ["scan", "equienergetic", "--n-max", "10"],
     "scan-equal-wiener-9": ["scan", "equal-wiener", "--n", "9"],
     "scan-caterpillar-36": ["scan", "caterpillar", "--limit", "36"],
@@ -69,9 +70,11 @@ FORMATS = ("json", "csv")
 # exactly equal energy whose order comes from the solver's rounding, so its
 # digest pins every float bit of the spectra as well as the record order.
 # It was recorded from the one-matrix-at-a-time Jacobi solver, before the
-# stacked one replaced it.
+# stacked one replaced it.  The equal-Wiener scan at n = 12 (528 colliding
+# trees, 3.1 MB of JSON) pins every bit of the secondary index gaps.
 DIGEST_CASES = {
     "scan-equienergetic-4-12": ["scan", "equienergetic", "--n-min", "4", "--n-max", "12"],
+    "scan-equal-wiener-12": ["scan", "equal-wiener", "--n", "12"],
 }
 
 
@@ -104,10 +107,17 @@ def test_golden_report(case, fmt):
     assert run_masked(CASES[case] + ["--format", fmt]) == expected
 
 
-def test_equienergetic_tie_order_digest():
-    case = "scan-equienergetic-4-12"
+def _check_digest(case: str) -> None:
     expected = json.loads((GOLDEN / f"{case}.sha256").read_text(encoding="utf-8"))
     assert masked_digests(DIGEST_CASES[case]) == expected
+
+
+def test_equienergetic_tie_order_digest():
+    _check_digest("scan-equienergetic-4-12")
+
+
+def test_equal_wiener_digest():
+    _check_digest("scan-equal-wiener-12")
 
 
 if __name__ == "__main__":
