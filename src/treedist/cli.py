@@ -65,6 +65,12 @@ def _edges_csv(edges: tuple[tuple[int, int], ...]) -> str:
     return ";".join(f"{u}-{v}" for u, v in edges)
 
 
+def _config(args: argparse.Namespace) -> dict[str, Any]:
+    """The parsed options echoed as the report's config, keyed by their dests."""
+    skip = ("command", "scan_command", "format", "handler")
+    return {k: v for k, v in vars(args).items() if k not in skip}
+
+
 def _collision_dict(c: CollisionPair) -> dict[str, Any]:
     """The pair's set fields, with ``secondary_gaps`` as a name -> gap object."""
     out = {k: v for k, v in vars(c).items() if v is not None}
@@ -80,11 +86,8 @@ def _collision_dict(c: CollisionPair) -> dict[str, Any]:
 def _cmd_index(args: argparse.Namespace):
     g = _load_graph(args.file)
     value = _compute_index(g, args.kind, args.k, args.log_base)
-    config = {"file": args.file, "kind": args.kind, "k": args.k, "log_base": args.log_base}
     payload = {"kind": args.kind, "k": value.k, "log_base": value.log_base, "value": value.value}
-    header = ["kind", "k", "log_base", "value"]
-    rows = [[args.kind, value.k, value.log_base, value.value]]
-    return config, payload, header, rows
+    return _config(args), payload, list(payload), [list(payload.values())]
 
 
 def _cmd_distance(args: argparse.Namespace):
@@ -93,14 +96,6 @@ def _cmd_distance(args: argparse.Namespace):
     value_a = _compute_index(g_a, args.kind, args.k, args.log_base).value
     value_b = _compute_index(g_b, args.kind, args.k, args.log_base).value
     result = d_index(float(value_a), float(value_b), args.sigma, kind=args.kind)
-    config = {
-        "file_a": args.file_a,
-        "file_b": args.file_b,
-        "kind": args.kind,
-        "k": args.k,
-        "log_base": args.log_base,
-        "sigma": args.sigma,
-    }
     payload = {
         "kind": args.kind,
         "sigma": args.sigma,
@@ -109,17 +104,15 @@ def _cmd_distance(args: argparse.Namespace):
         "gap": result.gap,
         "distance": result.distance,
     }
-    header = ["kind", "sigma", "value_a", "value_b", "gap", "distance"]
-    rows = [[args.kind, args.sigma, result.value_a, result.value_b, result.gap, result.distance]]
-    return config, payload, header, rows
+    return _config(args), payload, list(payload), [list(payload.values())]
 
 
 def _cmd_enumerate(args: argparse.Namespace):
     trees = list(enumerate_trees(args.n))
-    config = {"n": args.n, "count_only": args.count_only}
+    config = _config(args)
     payload: dict[str, Any] = {"n": args.n, "count": len(trees)}
     if args.count_only:
-        return config, payload, ["n", "count"], [[args.n, len(trees)]]
+        return config, payload, list(payload), [list(payload.values())]
     # Each format builds only its own records: the tree list for JSON, the
     # lazy rows for CSV.
     if args.format == "json":
@@ -140,12 +133,7 @@ def _cmd_verify(args: argparse.Namespace):
         borderline.extend(near)
         count = count_trees(n)
         pairs_checked += count * (count - 1) // 2
-    config = {
-        "conjecture": args.conjecture,
-        "n": args.n,
-        "n_max": n_max,
-        "float_tol": args.float_tol,
-    }
+    config = {**_config(args), "n_max": n_max}
     payload = {
         "conjecture": args.conjecture,
         "orders": list(range(args.n, n_max + 1)),
@@ -191,35 +179,26 @@ def _cmd_scan_caterpillar(args: argparse.Namespace):
     cfg = SearchConfig(
         scan_limit=args.limit,
         fixed_t=args.t,
-        perfect_squares_only=not args.all_integers,
-        equal_order_only=args.equal_order,
+        perfect_squares_only=args.perfect_squares_only,
+        equal_order_only=args.equal_order_only,
         float_tol=args.float_tol,
     )
     pairs = caterpillar_scan(cfg)
-    config = {
-        "limit": args.limit,
-        "t": args.t,
-        "perfect_squares_only": not args.all_integers,
-        "equal_order_only": args.equal_order,
-        "float_tol": args.float_tol,
-    }
     payload = {"pairs": [_collision_dict(c) for c in pairs]}
-    return config, payload, _COLLISION_HEADER, _collision_rows(pairs)
+    return _config(args), payload, _COLLISION_HEADER, _collision_rows(pairs)
 
 
 def _cmd_scan_equal_wiener(args: argparse.Namespace):
     pairs = find_equal_wiener_pairs(args.n)
-    config = {"n": args.n}
     payload = {"n": args.n, "pairs": [_collision_dict(c) for c in pairs]}
-    return config, payload, _COLLISION_HEADER, _collision_rows(pairs)
+    return _config(args), payload, _COLLISION_HEADER, _collision_rows(pairs)
 
 
 def _cmd_scan_equienergetic(args: argparse.Namespace):
     cfg = SearchConfig(n_min=args.n_min, n_max=args.n_max, energy_tol=args.energy_tol)
     pairs = equienergetic_scan(cfg)
-    config = {"n_min": args.n_min, "n_max": args.n_max, "energy_tol": args.energy_tol}
     payload = {"records": [_collision_dict(c) for c in pairs]}
-    return config, payload, _COLLISION_HEADER, _collision_rows(pairs)
+    return _config(args), payload, _COLLISION_HEADER, _collision_rows(pairs)
 
 
 def _parse_probability_vector(text: str) -> list[float]:
@@ -238,8 +217,6 @@ def _cmd_bounds(args: argparse.Namespace):
         bound = theorem1_bound(p_prime, args.sigma, args.log_base)
         config = {"theorem": 1, "p_prime": p_prime, "sigma": args.sigma, "log_base": args.log_base}
         payload = {"theorem": 1, "a_value": a_value, "bound": bound}
-        header = ["theorem", "a_value", "bound"]
-        rows = [[1, a_value, bound]]
     else:
         if args.n is None:
             raise ValueError("--theorem 3 requires --n")
@@ -252,9 +229,7 @@ def _cmd_bounds(args: argparse.Namespace):
             "bound": bound,
             "asymptotic": True,
         }
-        header = ["theorem", "n", "coefficient", "bound", "asymptotic"]
-        rows = [[3, args.n, WIENER_GAP_COEFF, bound, True]]
-    return config, payload, header, rows
+    return config, payload, list(payload), [list(payload.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = scan_sub.add_parser("caterpillar", parents=[fmt], help="equal-Randic caterpillar spine quadruples")
     p.add_argument("--limit", type=int, default=100)
     p.add_argument("--t", type=int, default=4)
-    p.add_argument("--all-integers", action="store_true", help="scan all integers, not just perfect squares")
-    p.add_argument("--equal-order", action="store_true", help="require equal vertex counts across the pair")
+    p.add_argument(
+        "--all-integers",
+        dest="perfect_squares_only",
+        action="store_false",
+        help="scan all integers, not just perfect squares",
+    )
+    p.add_argument(
+        "--equal-order",
+        dest="equal_order_only",
+        action="store_true",
+        help="require equal vertex counts across the pair",
+    )
     p.add_argument("--float-tol", type=float, default=1e-9)
     p.set_defaults(handler=_cmd_scan_caterpillar)
 

@@ -10,6 +10,12 @@ index gaps), so no sigma choice can change an outcome.  The searches below
 hunt for the structured collisions that refute the conjectures: equal-Wiener
 tree pairs, equal-Randic caterpillar spine quadruples, and numerically
 equienergetic non-cospectral tree pairs.
+
+The verifier and the tree scans read their per-tree values from one table
+per order (``_index_values``), computed once per tree and index: W by the
+edge-cut strategy, R and If1 from the degrees, and E and Ig from one
+``spectra`` call.  Nothing is re-verified at run time; the tests check the
+edge-cut W against the all-pairs BFS ``wiener``.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +35,8 @@ from .graph_core import (
     build_caterpillar,
     enumerate_trees,
 )
-from .indices import ifk_entropy, randic, wiener, wiener_edge_cut
-from .spectral import Spectrum, is_cospectral, spectra
+from .indices import ifk_entropy, randic, wiener_edge_cut
+from .spectral import Spectrum, char_poly, spectra
 
 CONJECTURE_INDEX_PAIRS = {1: ("W", "R"), 2: ("E", "Ig"), 3: ("R", "If1")}
 
@@ -97,21 +104,28 @@ class CollisionPair:
     label_b: str | None = None
 
 
-def _pair_values(trees: list[Tree], conjecture: int) -> tuple[list[float], list[float]]:
-    """Per-tree values of the two indices compared by the given conjecture."""
-    if conjecture == 1:
-        a = [float(wiener(t.graph).value) for t in trees]
-        b = [randic(t.graph).value for t in trees]
-    elif conjecture == 2:
-        specs = spectra([t.graph for t in trees])
-        a = [s.abs_sum() for s in specs]
-        b = [s.entropy() for s in specs]
-    elif conjecture == 3:
-        a = [randic(t.graph).value for t in trees]
-        b = [ifk_entropy(t.graph, 1).value for t in trees]
-    else:
-        raise ValueError(f"conjecture id must be 1, 2 or 3, got {conjecture}")
-    return a, b
+# Per-tree index functions, and the indices read from the tree's spectrum.
+_TREE_INDICES = {
+    "W": lambda t: float(wiener_edge_cut(t)),
+    "R": lambda t: randic(t.graph).value,
+    "If1": lambda t: ifk_entropy(t.graph, 1).value,
+}
+_SPECTRUM_INDICES = {"E": Spectrum.abs_sum, "Ig": Spectrum.entropy}
+
+
+def _index_values(trees: list[Tree], kinds: Sequence[str]) -> dict[str, list[float]]:
+    """Each tree's value of every index in ``kinds`` (W, R, If1, E, Ig), by kind.
+
+    E and Ig are read from one ``spectra`` call over the trees, made only
+    when one of them is asked for.
+    """
+    specs = spectra([t.graph for t in trees]) if _SPECTRUM_INDICES.keys() & set(kinds) else []
+    return {
+        kind: [_TREE_INDICES[kind](t) for t in trees]
+        if kind in _TREE_INDICES
+        else [_SPECTRUM_INDICES[kind](s) for s in specs]
+        for kind in kinds
+    }
 
 
 def verify_conjecture_detail(
@@ -131,7 +145,7 @@ def verify_conjecture_detail(
     if n < 4:
         raise ValueError(f"conjecture checks need n >= 4, got {n}")
     trees = list(enumerate_trees(n))
-    a_vals, b_vals = _pair_values(trees, conjecture)
+    a_vals, b_vals = _index_values(trees, CONJECTURE_INDEX_PAIRS[conjecture]).values()
     codes = [t.code_hex for t in trees]
     a_col = np.array(a_vals, dtype=np.float64)
     b_col = np.array(b_vals, dtype=np.float64)
@@ -177,31 +191,19 @@ def verify_conjecture(conjecture: int, n: int, cfg: SearchConfig | None = None) 
 # ---------------------------------------------------------------------------
 
 
-def find_equal_wiener_pairs(n: int, cfg: SearchConfig | None = None) -> list[CollisionPair]:
+def find_equal_wiener_pairs(n: int) -> list[CollisionPair]:
     """All non-isomorphic tree pairs on ``n`` vertices with identical Wiener index.
 
-    Each returned pair is re-verified with the independent edge-cut Wiener
-    strategy and carries the gaps of the other indices.
+    Trees are grouped by their edge-cut Wiener index; each pair carries the
+    gaps of the other indices, read from the order's index table.
     """
-    cfg = cfg or SearchConfig()
     trees = list(enumerate_trees(n))
-    by_wiener: dict[int, list[int]] = {}
-    for idx, t in enumerate(trees):
-        w = int(wiener(t.graph).value)
-        if w != wiener_edge_cut(t):
-            raise AssertionError(f"Wiener strategies disagree on tree {t.code_hex}")
+    secondary = ("R", "E", "Ig", "If1")
+    values = _index_values(trees, ("W",) + secondary)
+    by_wiener: dict[float, list[int]] = {}
+    for idx, w in enumerate(values["W"]):
         by_wiener.setdefault(w, []).append(idx)
     groups = [(w, members) for w, members in sorted(by_wiener.items()) if len(members) > 1]
-    colliding = [idx for _, members in groups for idx in members]
-    values: dict[int, dict[str, float]] = {}
-    for idx, spec in zip(colliding, spectra([trees[idx].graph for idx in colliding])):
-        g = trees[idx].graph
-        values[idx] = {
-            "R": randic(g).value,
-            "E": spec.abs_sum(),
-            "Ig": spec.entropy(),
-            "If1": ifk_entropy(g, 1).value,
-        }
     pairs: list[CollisionPair] = []
     for w, members in groups:
         for ii in range(len(members)):
@@ -209,9 +211,7 @@ def find_equal_wiener_pairs(n: int, cfg: SearchConfig | None = None) -> list[Col
                 a, b = members[ii], members[jj]
                 if trees[a].code_hex > trees[b].code_hex:
                     a, b = b, a
-                gaps = tuple(
-                    (kind, abs(values[a][kind] - values[b][kind])) for kind in ("R", "E", "Ig", "If1")
-                )
+                gaps = tuple((kind, abs(values[kind][a] - values[kind][b])) for kind in secondary)
                 pairs.append(
                     CollisionPair(
                         kind="wiener",
@@ -221,7 +221,7 @@ def find_equal_wiener_pairs(n: int, cfg: SearchConfig | None = None) -> list[Col
                         edges_b=trees[b].edges,
                         n_a=n,
                         n_b=n,
-                        shared_value=float(w),
+                        shared_value=w,
                         secondary_gaps=gaps,
                     )
                 )
@@ -278,7 +278,7 @@ def check_wiener_preserving_attachment(
     """
     if t_a.n != t_b.n:
         raise GraphError(f"attachment bases must have equal order, got {t_a.n} and {t_b.n}")
-    if wiener(t_a.graph).value != wiener(t_b.graph).value:
+    if wiener_edge_cut(t_a) != wiener_edge_cut(t_b):
         raise GraphError("attachment bases must have equal Wiener index")
     dist_a0 = bfs_distances(t_a.graph, attach_a[0])
     dist_b0 = bfs_distances(t_b.graph, attach_b[0])
@@ -410,10 +410,11 @@ def _caterpillar_pair(
 def equienergetic_scan(cfg: SearchConfig | None = None) -> list[CollisionPair]:
     """Tree pairs with numerically equal energy, flagged cospectral or not.
 
-    For each order in cfg.n_min..cfg.n_max, the order's spectra are solved
-    in one ``spectra`` call, trees are sorted by energy and neighbours
-    within cfg.energy_tol are paired.  Every pair carries its energy gap, an exact cospectrality
-    flag, and the spectral entropy gap.  Non-cospectral pairs with a
+    For each order in cfg.n_min..cfg.n_max, trees are sorted by the E column
+    of the order's index table and neighbours within cfg.energy_tol are
+    paired.  Every pair carries its energy gap, an exact cospectrality flag
+    (equal characteristic polynomials, expanded once per tree that is in a
+    pair), and the spectral entropy gap.  Non-cospectral pairs with a
     decisive entropy gap are marked as candidate refutations of the
     energy-entropy conjecture.
     """
@@ -421,30 +422,37 @@ def equienergetic_scan(cfg: SearchConfig | None = None) -> list[CollisionPair]:
     records: list[CollisionPair] = []
     for n in range(cfg.n_min, cfg.n_max + 1):
         trees = list(enumerate_trees(n))
-        specs = spectra([t.graph for t in trees])
-        energies = [s.abs_sum() for s in specs]
+        values = _index_values(trees, ("E", "Ig"))
+        energies = values["E"]
         order = sorted(range(len(trees)), key=lambda i: (energies[i], trees[i].code_hex))
+        pairs = []
         for pos in range(len(order)):
             i = order[pos]
             nxt = pos + 1
             while nxt < len(order) and energies[order[nxt]] - energies[i] <= cfg.energy_tol:
-                j = order[nxt]
-                records.append(_equienergetic_pair(trees[i], trees[j], specs[i], specs[j], cfg))
+                pairs.append((i, order[nxt]))
                 nxt += 1
+        paired = {i for pair in pairs for i in pair}
+        rows = {i: (energies[i], values["Ig"][i], char_poly(trees[i].graph).coeffs) for i in paired}
+        records.extend(_equienergetic_pair(trees[i], trees[j], rows[i], rows[j], cfg) for i, j in pairs)
     records.sort(key=lambda p: (p.n_a, p.shared_value, p.code_a, p.code_b))
     return records
 
 
 def _equienergetic_pair(
-    tree_a: Tree, tree_b: Tree, spec_a: Spectrum, spec_b: Spectrum, cfg: SearchConfig
+    tree_a: Tree,
+    tree_b: Tree,
+    row_a: tuple[float, float, tuple[int, ...]],
+    row_b: tuple[float, float, tuple[int, ...]],
+    cfg: SearchConfig,
 ) -> CollisionPair:
+    """The record of one pair; a row is the tree's (E, Ig, char_poly coefficients)."""
     if tree_a.code_hex > tree_b.code_hex:
         tree_a, tree_b = tree_b, tree_a
-        spec_a, spec_b = spec_b, spec_a
-    e_a, e_b = spec_a.abs_sum(), spec_b.abs_sum()
-    energy_gap = abs(e_a - e_b)
-    cospectral = is_cospectral(tree_a.graph, tree_b.graph)
-    ig_gap = abs(spec_a.entropy() - spec_b.entropy())
+        row_a, row_b = row_b, row_a
+    (e_a, ig_a, poly_a), (e_b, ig_b, poly_b) = row_a, row_b
+    cospectral = poly_a == poly_b
+    ig_gap = abs(ig_a - ig_b)
     return CollisionPair(
         kind="energy",
         code_a=tree_a.code_hex,
@@ -454,7 +462,7 @@ def _equienergetic_pair(
         n_a=tree_a.n,
         n_b=tree_b.n,
         shared_value=(e_a + e_b) / 2.0,
-        secondary_gaps=(("E", energy_gap), ("Ig", ig_gap)),
+        secondary_gaps=(("E", abs(e_a - e_b)), ("Ig", ig_gap)),
         cospectral=cospectral,
         candidate=(not cospectral) and ig_gap > cfg.float_tol,
     )

@@ -185,10 +185,6 @@ def spectra(graphs: Sequence[Graph]) -> list[Spectrum]:
 
 def eigenvalues(g: Graph) -> Spectrum:
     """Adjacency spectrum of ``g``, sorted descending."""
-    if g.n < 1:
-        raise GraphError("spectrum of the empty graph is undefined")
-    if g.m == 0:
-        return Spectrum((0.0,) * g.n, g.n)
     return spectra([g])[0]
 
 

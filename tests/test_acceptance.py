@@ -41,7 +41,7 @@ from treedist import (
 )
 from treedist.graph_core import Graph, _canonical_code, is_connected
 from treedist.measures import wiener_deletion_gap
-from treedist.search import _pair_values
+from treedist.search import CONJECTURE_INDEX_PAIRS, _index_values
 
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
 
@@ -176,7 +176,7 @@ def test_criterion_4_verifier_scale():
 
     rng = random.Random(20260810)
     sample = [tuple(rng.sample(range(len(trees)), 2)) for _ in range(100)]
-    batch = {cid: _pair_values(trees, cid) for cid in (1, 2, 3)}
+    batch = {cid: tuple(_index_values(trees, CONJECTURE_INDEX_PAIRS[cid]).values()) for cid in (1, 2, 3)}
     recomputed = {
         1: lambda g, t: (float(wiener_edge_cut(t)), randic(g).value),
         2: lambda g, t: (energy(g).value, ig_entropy(g).value),

@@ -71,7 +71,8 @@ FORMATS = ("json", "csv")
 # digest pins every float bit of the spectra as well as the record order.
 # It was recorded from the one-matrix-at-a-time Jacobi solver, before the
 # stacked one replaced it.  The equal-Wiener scan at n = 12 (528 colliding
-# trees, 3.1 MB of JSON) pins every bit of the secondary index gaps.
+# trees, 3.1 MB of JSON) pins every bit of the secondary index gaps; it was
+# recorded before one index table per order replaced the per-search code.
 DIGEST_CASES = {
     "scan-equienergetic-4-12": ["scan", "equienergetic", "--n-min", "4", "--n-max", "12"],
     "scan-equal-wiener-12": ["scan", "equal-wiener", "--n", "12"],

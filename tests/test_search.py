@@ -129,7 +129,9 @@ def test_borderline_records_are_separate():
 def _pair_loop_oracle(conjecture, n, cfg):
     """The plain double loop over every tree pair, one record per violating pair."""
     trees = list(enumerate_trees(n))
-    a_vals, b_vals = search._pair_values(trees, conjecture)
+    kind_a, kind_b = CONJECTURE_INDEX_PAIRS[conjecture]
+    values = search._index_values(trees, (kind_a, kind_b))
+    a_vals, b_vals = values[kind_a], values[kind_b]
     codes = [t.code_hex for t in trees]
     violations, borderline = [], []
     for i in range(len(trees)):
@@ -166,13 +168,14 @@ def test_pair_sweep_matches_double_loop_oracle(conjecture, float_tol):
 
 
 def test_pair_sweep_counts_nan_gaps_as_borderline(monkeypatch):
-    values = search._pair_values
+    index_values = search._index_values
 
-    def with_nan(trees, conjecture):
-        a, b = values(trees, conjecture)
-        return [math.nan] + a[1:], b
+    def with_nan(trees, kinds):
+        values = index_values(trees, kinds)
+        first = values[kinds[0]]
+        return {**values, kinds[0]: [math.nan] + first[1:]}
 
-    monkeypatch.setattr(search, "_pair_values", with_nan)
+    monkeypatch.setattr(search, "_index_values", with_nan)
     cfg = SearchConfig()
     swept = verify_conjecture_detail(3, 7, cfg)
     # NaN != NaN, so compare the bit-exact reprs instead.
@@ -409,6 +412,21 @@ def test_equienergetic_scan_solves_each_spectrum_once(monkeypatch):
     equienergetic_scan(SearchConfig(n_min=4, n_max=10))
     assert sum(calls) == sum(count_trees(n) for n in range(4, 11)) == 198
     assert len(calls) == 7
+
+
+def test_equienergetic_scan_expands_each_char_poly_once(monkeypatch):
+    expand = search.char_poly
+    expanded = []
+
+    def counted(g):
+        expanded.append(g)
+        return expand(g)
+
+    monkeypatch.setattr(search, "char_poly", counted)
+    records = equienergetic_scan(SearchConfig(n_min=4, n_max=11))
+    assert len(records) == 44
+    # One expansion per distinct tree in the records, not one per pair it is in.
+    assert len(expanded) == len({code for r in records for code in (r.code_a, r.code_b)}) == 82
 
 
 def test_equienergetic_records_are_deterministic_and_distinct():

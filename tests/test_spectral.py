@@ -164,6 +164,15 @@ def test_eigenvalues_is_a_stack_of_one():
         assert [_bits(eigenvalues(g).values) for g in graphs] == [_bits(s.values) for s in spectra(graphs)]
 
 
+def test_eigenvalues_of_edgeless_graphs_are_positive_zeros():
+    for n in range(1, 6):
+        spec = eigenvalues(from_edge_list(n, []))
+        assert spec.n == n
+        assert _bits(spec.values) == _bits([0.0] * n)
+    with pytest.raises(GraphError):
+        eigenvalues(from_edge_list(0, []))
+
+
 def test_spectra_blocks_do_not_change_bits(monkeypatch):
     graphs = [t.graph for t in enumerate_trees(9)]
     whole = [_bits(s.values) for s in spectra(graphs)]
