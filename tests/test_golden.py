@@ -73,9 +73,16 @@ FORMATS = ("json", "csv")
 # stacked one replaced it.  The equal-Wiener scan at n = 12 (528 colliding
 # trees, 3.1 MB of JSON) pins every bit of the secondary index gaps; it was
 # recorded before one index table per order replaced the per-search code.
+# The verify reports at n = 11..12 (2,517 / 672 / 4,662 violations and
+# 7 / 10 / 4 borderline records for conjectures 1 / 2 / 3) pin every byte of
+# the record lists; they were recorded from the stdlib indented encoder,
+# before verify's records were written through a template.
 DIGEST_CASES = {
     "scan-equienergetic-4-12": ["scan", "equienergetic", "--n-min", "4", "--n-max", "12"],
     "scan-equal-wiener-12": ["scan", "equal-wiener", "--n", "12"],
+    "verify-c1-11-12": ["verify", "--conjecture", "1", "--n", "11", "--n-max", "12"],
+    "verify-c2-11-12": ["verify", "--conjecture", "2", "--n", "11", "--n-max", "12"],
+    "verify-c3-11-12": ["verify", "--conjecture", "3", "--n", "11", "--n-max", "12"],
 }
 
 
@@ -119,6 +126,11 @@ def test_equienergetic_tie_order_digest():
 
 def test_equal_wiener_digest():
     _check_digest("scan-equal-wiener-12")
+
+
+@pytest.mark.parametrize("conjecture", [1, 2, 3])
+def test_verify_digest(conjecture):
+    _check_digest(f"verify-c{conjecture}-11-12")
 
 
 if __name__ == "__main__":
