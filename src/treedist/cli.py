@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -37,9 +38,17 @@ SCHEMA_VERSION = 1
 
 INDEX_KINDS = ("W", "R", "E", "Ig", "If")
 
-# Encoder chunks joined into one write: a large report goes out in a few
-# big writes instead of one per token, with memory bounded by the block.
-JSON_BLOCK_CHUNKS = 65536
+# JSON pieces joined into one write: encoder chunks, or whole verify
+# records.  A large report goes out in a few big writes instead of one per
+# token, with memory bounded by the block.
+JSON_BLOCK_CHUNKS = 512
+
+# Payload lists of ViolationRecord field dicts, written through one template
+# instead of the stdlib encoder.  They sit at report -> payload -> list, so
+# each record is a dict at depth 3.
+RECORD_LISTS = ("borderline", "violations")
+RECORD_DEPTH = 3
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _load_graph(path: str) -> Graph:
@@ -108,11 +117,12 @@ def _cmd_distance(args: argparse.Namespace):
 
 
 def _cmd_enumerate(args: argparse.Namespace):
-    trees = list(enumerate_trees(args.n))
     config = _config(args)
-    payload: dict[str, Any] = {"n": args.n, "count": len(trees)}
     if args.count_only:
+        payload = {"n": args.n, "count": count_trees(args.n)}
         return config, payload, list(payload), [list(payload.values())]
+    trees = list(enumerate_trees(args.n))
+    payload: dict[str, Any] = {"n": args.n, "count": len(trees)}
     # Each format builds only its own records: the tree list for JSON, the
     # lazy rows for CSV.
     if args.format == "json":
@@ -318,10 +328,93 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _indented(value: Any, depth: int) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it at ``depth``.
+
+    The encoder escapes newlines inside strings, so every newline in its
+    output starts an indented line and takes the extra indentation.
+    """
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _float_json(x: float) -> str:
+    """``x`` as the stdlib encoder writes a float: its repr, or NaN / Infinity."""
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+class _Memo(dict):
+    """JSON text per key, rendered by ``render(key)`` on the first lookup.
+
+    A falsy key is rendered on every lookup: 0.0 and -0.0 are one key but
+    render differently.
+    """
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self.render(key)
+        if key:
+            self[key] = text
+        return text
+
+
+def _record_pieces(records: list[dict[str, Any]]) -> Iterator[str]:
+    """A non-empty list of ViolationRecord field dicts as indented JSON, one piece per record.
+
+    Byte for byte the stdlib encoder's output at ``RECORD_DEPTH``: the
+    template is that encoder's rendering of a record whose fields are all
+    placeholders.  Codes, index values, gaps and the per-order fields
+    repeat across thousands of records, so each distinct value is rendered
+    once.  A tree's code and index values are keyed together, so they are
+    right even if a code were to recur with other values.
+    """
+    keys = sorted(f.name for f in dataclasses.fields(ViolationRecord))
+    blank = _indented(dict.fromkeys(keys, "\0"), RECORD_DEPTH)
+    template = blank.replace(json.dumps("\0"), "%s")
+    trees = _Memo(lambda key: (_indented(key[0], RECORD_DEPTH + 1), _indented(key[1], RECORD_DEPTH + 1)))
+    orders = _Memo(lambda key: tuple(_indented(v, RECORD_DEPTH + 1) for v in key))
+    floats = _Memo(_float_json)
+    indent = "\n" + "  " * RECORD_DEPTH
+    separator = "[" + indent
+    for r in records:
+        code_a, values_a = trees[r["code_a"], r["values_a"]]
+        code_b, values_b = trees[r["code_b"], r["values_b"]]
+        conjecture, n, index_pair = orders[r["conjecture"], r["n"], r["index_pair"]]
+        yield separator + template % (
+            code_a, code_b, conjecture, floats[r["gap_a"]], floats[r["gap_b"]],
+            index_pair, floats[r["margin"]], n, values_a, values_b,
+        )
+        separator = "," + indent
+    yield "\n" + "  " * (RECORD_DEPTH - 1) + "]"
+
+
+def _json_pieces(report: dict[str, Any]) -> Iterator[str]:
+    """``report`` as indented JSON with sorted keys, in pieces.
+
+    The stdlib encoder writes the report with each non-empty record list
+    replaced by a placeholder string, which it yields as one chunk; the
+    template writes the records in its place.  A report without records is
+    the encoder's chunks alone.
+    """
+    payload = report["payload"]
+    lists = {k: payload[k] for k in RECORD_LISTS if payload.get(k)}
+    masked = {**report, "payload": {**payload, **{k: "\0" + k for k in lists}}}
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(masked)
+    if not lists:
+        return chunks
+    spliced = {json.dumps("\0" + k): records for k, records in lists.items()}
+    return itertools.chain.from_iterable(
+        _record_pieces(spliced[chunk]) if chunk in spliced else (chunk,) for chunk in chunks
+    )
+
+
 def _emit(report: dict[str, Any], header: list[str], rows: Iterable[list[Any]], fmt: str, out) -> None:
     if fmt == "json":
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
-        while batch := "".join(itertools.islice(chunks, JSON_BLOCK_CHUNKS)):
+        pieces = _json_pieces(report)
+        while batch := "".join(itertools.islice(pieces, JSON_BLOCK_CHUNKS)):
             out.write(batch)
         out.write("\n")
     else:

@@ -7,9 +7,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treedist import Tree, cli, from_edge_list
+from treedist import Tree, cli, from_edge_list, search
 from treedist.cli import _emit, build_parser, main
+from treedist.search import ViolationRecord
 
 P4 = "4 3\n0 1\n1 2\n2 3\n"
 K13 = "4 3\n0 1\n0 2\n0 3\n"
@@ -165,6 +168,22 @@ def test_csv_determinism_and_header(capsys):
     assert len(out_a.splitlines()) == 3  # header + two pairs
 
 
+def test_enumerate_count_only_does_not_enumerate(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("--count-only enumerated the trees")
+
+    monkeypatch.setattr(cli, "enumerate_trees", refuse)
+    report = run_json(capsys, ["enumerate", "--n", "16", "--count-only"])
+    assert report["payload"] == {"count": 19320, "n": 16}
+
+
+def test_enumerate_count_only_rejects_order_0(capsys):
+    code, out, err = run_cli(capsys, ["enumerate", "--n", "0", "--count-only"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: tree order must be >= 1, got 0\n"
+
+
 def test_csv_single_row_commands(capsys):
     code, out, _ = run_cli(capsys, ["enumerate", "--n", "6", "--count-only", "--format", "csv"])
     assert code == 0
@@ -271,3 +290,105 @@ def test_emit_json_writes_in_blocks(monkeypatch, block):
     _emit(report, header, rows, "json", out)
     assert out.writes <= math.ceil(tokens / block) + 1
     assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _stdlib_json(report):
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _emitted_json(report):
+    out = io.StringIO()
+    _emit(report, [], [], "json", out)
+    return out.getvalue()
+
+
+def _verify_report(violations, borderline):
+    """A verify report holding the given record field dicts."""
+    payload = {
+        "borderline": borderline, "conjecture": 1, "orders": [7], "pairs_checked": 11,
+        "violations": violations,
+    }
+    return {"config": {"n": 7}, "payload": payload, "schema": 1, "wall_time_s": 0.125}
+
+
+def _record(trees, i, j, gap_a, gap_b, margin):
+    """The record of trees ``i`` and ``j`` of ``trees``, a list of (code, values)."""
+    (code_a, values_a), (code_b, values_b) = trees[i], trees[j]
+    return vars(ViolationRecord(
+        conjecture=1, n=7, code_a=code_a, code_b=code_b, index_pair=("W", "R"),
+        values_a=values_a, values_b=values_b, gap_a=gap_a, gap_b=gap_b, margin=margin,
+    ))
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 2.5]
+
+
+def test_emit_verify_edge_values_match_stdlib():
+    # Codes with a quote, a percent sign, a backslash and non-ASCII text,
+    # and both zeros in every float field of one report.
+    trees = [(f'{i}"%s\\é', (x, EDGE_FLOATS[-1 - i])) for i, x in enumerate(EDGE_FLOATS)]
+    records = [
+        _record(trees, i, j, EDGE_FLOATS[j], EDGE_FLOATS[i], EDGE_FLOATS[(i + j) % len(EDGE_FLOATS)])
+        for i in range(len(trees)) for j in range(len(trees))
+    ]
+    for violations, borderline in [(records, records[:5]), (records, []), ([], records), ([], [])]:
+        report = _verify_report(violations, borderline)
+        assert _emitted_json(report) == _stdlib_json(report)
+
+
+tree_values = st.tuples(st.floats(), st.floats())
+record_draws = st.tuples(
+    st.integers(0, 5), st.integers(0, 5), st.floats(), st.floats(), st.floats(), st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(tree_values, min_size=6, max_size=6), st.lists(record_draws, max_size=12))
+def test_emit_verify_random_floats_match_stdlib(values, draws):
+    trees = [(f"{i:02x}", v) for i, v in enumerate(values)]
+    violations, borderline = [], []
+    for i, j, gap_a, gap_b, margin, decisive in draws:
+        (violations if decisive else borderline).append(_record(trees, i, j, gap_a, gap_b, margin))
+    report = _verify_report(violations, borderline)
+    assert _emitted_json(report) == _stdlib_json(report)
+
+
+def test_verify_nan_gaps_match_stdlib(capsys, monkeypatch):
+    index_values = search._index_values
+
+    def with_nan(trees, kinds):
+        values = index_values(trees, kinds)
+        first = values[kinds[0]]
+        return {**values, kinds[0]: [math.nan] + first[1:]}
+
+    monkeypatch.setattr(search, "_index_values", with_nan)
+    code, out, _ = run_cli(capsys, ["verify", "--conjecture", "3", "--n", "7"])
+    assert code == 0
+    report = json.loads(out)
+    assert sum(math.isnan(r["gap_a"]) for r in report["payload"]["borderline"]) == 10
+    assert out == _stdlib_json(report)
+
+
+class RecordingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def write(self, text):
+        self.texts.append(text)
+        return super().write(text)
+
+
+def test_emit_verify_writes_at_most_one_block(monkeypatch):
+    block = 4
+    monkeypatch.setattr(cli, "JSON_BLOCK_CHUNKS", block)
+    report, header, rows = _report(["verify", "--conjecture", "3", "--n", "10"])
+    records = report["payload"]["violations"] + report["payload"]["borderline"]
+    assert len(records) > 20 * block
+    # A record in its list: separator, then the dict indented at depth 3.
+    longest = max(len(",\n      " + json.dumps(r, indent=2).replace("\n", "\n      ")) for r in records)
+    out = RecordingStream()
+    _emit(report, header, rows, "json", out)
+    assert out.getvalue() == _stdlib_json(report)
+    assert max(len(text) for text in out.texts) <= block * longest
+    assert max(text.count('"margin": ') for text in out.texts) <= block
