@@ -281,7 +281,7 @@ def test_emit_json_golden_bytes(argv):
     assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("block", [cli.JSON_BLOCK_CHUNKS, 64])
+@pytest.mark.parametrize("block", [cli.JSON_BLOCK_CHUNKS, 65536, 64])
 def test_emit_json_writes_in_blocks(monkeypatch, block):
     monkeypatch.setattr(cli, "JSON_BLOCK_CHUNKS", block)
     report, header, rows = _report(["verify", "--conjecture", "3", "--n", "10"])
