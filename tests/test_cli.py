@@ -230,17 +230,35 @@ def test_disconnected_input_is_input_error(capsys, tmp_path):
         (["verify", "--conjecture", "1", "--n", "7", "--float-tol", "nan"], "float_tol"),
         (["verify", "--conjecture", "1", "--n", "7", "--float-tol", "inf"], "float_tol"),
         (["scan", "equienergetic", "--n-max", "6", "--energy-tol", "nan"], "energy_tol"),
+        (["scan", "caterpillar", "--float-tol", "nan"], "float_tol"),
         (["index", "{p4}", "--kind", "Ig", "--log-base", "inf"], "log base"),
         (["bounds", "--theorem", "1", "--p-prime", "0.5,0.5", "--log-base", "inf"], "log base"),
     ],
     ids=["verify-float-tol-nan", "verify-float-tol-inf", "equienergetic-energy-tol-nan",
-         "index-log-base-inf", "bounds-log-base-inf"],
+         "caterpillar-float-tol-nan", "index-log-base-inf", "bounds-log-base-inf"],
 )
 def test_non_finite_inputs_exit_1(capsys, p4_file, argv, message):
     code, out, err = run_cli(capsys, [arg.format(p4=p4_file) for arg in argv])
     assert code == 1
     assert out == ""
     assert "error:" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--conjecture", "1", "--n", "5", "--n-max", "4"], "n_min 5 exceeds n_max 4"),
+        (["scan", "equienergetic", "--n-min", "9", "--n-max", "8"], "n_min 9 exceeds n_max 8"),
+        (["scan", "caterpillar", "--limit", "0"], "scan_limit must be >= 1, got 0"),
+        (["scan", "caterpillar", "--t", "1"], "fixed_t must be >= 2, got 1"),
+    ],
+    ids=["verify-n-above-n-max", "equienergetic-n-min-above-n-max", "caterpillar-limit-0", "caterpillar-t-1"],
+)
+def test_out_of_range_parameters_exit_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_verify_csv_rows(capsys):
