@@ -23,7 +23,6 @@ from .graph_core import (
     unit_edit_neighbors,
 )
 from .indices import (
-    IndexValue,
     avg_distance,
     energy,
     ifk_entropy,
@@ -48,7 +47,6 @@ from .measures import (
 )
 from .search import (
     CollisionPair,
-    SearchConfig,
     ViolationRecord,
     caterpillar_r_core,
     caterpillar_r_core_exact,

@@ -22,11 +22,10 @@ from typing import Any, Iterable, Iterator
 
 from . import __version__
 from .graph_core import Graph, GraphError, count_trees, enumerate_trees, parse_edge_list
-from .indices import IndexValue, energy, ifk_entropy, ig_entropy, randic, wiener
+from .indices import energy, ifk_entropy, ig_entropy, randic, wiener
 from .measures import WIENER_GAP_COEFF, d_index, theorem1_a, theorem1_bound, theorem3_bound
 from .search import (
     CollisionPair,
-    SearchConfig,
     ViolationRecord,
     caterpillar_scan,
     equienergetic_scan,
@@ -56,7 +55,7 @@ def _load_graph(path: str) -> Graph:
         return parse_edge_list(handle.read())
 
 
-def _compute_index(g: Graph, kind: str, k: int, log_base: float) -> IndexValue:
+def _compute_index(g: Graph, kind: str, k: int, log_base: float) -> float:
     if kind == "W":
         return wiener(g)
     if kind == "R":
@@ -95,15 +94,21 @@ def _collision_dict(c: CollisionPair) -> dict[str, Any]:
 def _cmd_index(args: argparse.Namespace):
     g = _load_graph(args.file)
     value = _compute_index(g, args.kind, args.k, args.log_base)
-    payload = {"kind": args.kind, "k": value.k, "log_base": value.log_base, "value": value.value}
+    # Only the entropies take a log base, and only If an exponent.
+    payload = {
+        "kind": args.kind,
+        "k": args.k if args.kind == "If" else None,
+        "log_base": args.log_base if args.kind in ("Ig", "If") else None,
+        "value": value,
+    }
     return _config(args), payload, list(payload), [list(payload.values())]
 
 
 def _cmd_distance(args: argparse.Namespace):
     g_a = _load_graph(args.file_a)
     g_b = _load_graph(args.file_b)
-    value_a = _compute_index(g_a, args.kind, args.k, args.log_base).value
-    value_b = _compute_index(g_b, args.kind, args.k, args.log_base).value
+    value_a = _compute_index(g_a, args.kind, args.k, args.log_base)
+    value_b = _compute_index(g_b, args.kind, args.k, args.log_base)
     result = d_index(float(value_a), float(value_b), args.sigma, kind=args.kind)
     payload = {
         "kind": args.kind,
@@ -133,12 +138,13 @@ def _cmd_enumerate(args: argparse.Namespace):
 
 def _cmd_verify(args: argparse.Namespace):
     n_max = args.n_max if args.n_max is not None else args.n
-    cfg = SearchConfig(n_min=args.n, n_max=n_max, float_tol=args.float_tol)
+    if args.n > n_max:
+        raise ValueError(f"n_min {args.n} exceeds n_max {n_max}")
     violations: list[ViolationRecord] = []
     borderline: list[ViolationRecord] = []
     pairs_checked = 0
     for n in range(args.n, n_max + 1):
-        dec, near = verify_conjecture_detail(args.conjecture, n, cfg)
+        dec, near = verify_conjecture_detail(args.conjecture, n, args.float_tol)
         violations.extend(dec)
         borderline.extend(near)
         count = count_trees(n)
@@ -186,14 +192,13 @@ def _collision_rows(pairs: list[CollisionPair]) -> Iterator[list[Any]]:
 
 
 def _cmd_scan_caterpillar(args: argparse.Namespace):
-    cfg = SearchConfig(
+    pairs = caterpillar_scan(
         scan_limit=args.limit,
         fixed_t=args.t,
         perfect_squares_only=args.perfect_squares_only,
         equal_order_only=args.equal_order_only,
         float_tol=args.float_tol,
     )
-    pairs = caterpillar_scan(cfg)
     payload = {"pairs": [_collision_dict(c) for c in pairs]}
     return _config(args), payload, _COLLISION_HEADER, _collision_rows(pairs)
 
@@ -205,8 +210,7 @@ def _cmd_scan_equal_wiener(args: argparse.Namespace):
 
 
 def _cmd_scan_equienergetic(args: argparse.Namespace):
-    cfg = SearchConfig(n_min=args.n_min, n_max=args.n_max, energy_tol=args.energy_tol)
-    pairs = equienergetic_scan(cfg)
+    pairs = equienergetic_scan(args.n_min, args.n_max, args.energy_tol)
     payload = {"records": [_collision_dict(c) for c in pairs]}
     return _config(args), payload, _COLLISION_HEADER, _collision_rows(pairs)
 

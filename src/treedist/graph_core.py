@@ -210,10 +210,7 @@ def centroids(g: Graph) -> tuple[int, ...]:
     n = g.n
     if n == 1:
         return (0,)
-    order, parent = _dfs_order(g, 0)
-    size = [1] * n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
+    order, parent, size = _subtree_sizes(g)
     result = []
     for v in order:
         heaviest = n - size[v]
@@ -240,6 +237,15 @@ def _dfs_order(g: Graph, root: int) -> tuple[list[int], list[int]]:
                 order.append(w)
                 stack.append(w)
     return order, parent
+
+
+def _subtree_sizes(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """Preorder, parent array and subtree vertex counts of a traversal from 0."""
+    order, parent = _dfs_order(g, 0)
+    size = [1] * g.n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return order, parent, size
 
 
 def _rooted_code(g: Graph, root: int) -> bytes:

@@ -117,7 +117,7 @@ def wiener_deletion_gap(g: Graph, edge: tuple[int, int]) -> int:
     h = g.delete_edge(u, v)
     if not is_connected(h):
         raise BridgeEdgeError(f"edge ({u}, {v}) is a bridge; deletion gap needs a cyclic edge")
-    return int(wiener(h).value - wiener(g).value)
+    return wiener(h) - wiener(g)
 
 
 def theorem3_bound(n: int, sigma: float) -> float:

@@ -41,31 +41,14 @@ from .spectral import Spectrum, char_poly, spectra
 CONJECTURE_INDEX_PAIRS = {1: ("W", "R"), 2: ("E", "Ig"), 3: ("R", "If1")}
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs shared by the verifier and the scans."""
+# A non-cospectral equienergetic pair whose Ig gap exceeds this is a
+# candidate refutation of the energy-entropy conjecture.
+CANDIDATE_IG_GAP = 1e-9
 
-    n_min: int = 4
-    n_max: int = 10
-    float_tol: float = 1e-9
-    scan_limit: int = 100
-    fixed_t: int = 4
-    perfect_squares_only: bool = True
-    equal_order_only: bool = False
-    energy_tol: float = 1e-8
 
-    def __post_init__(self) -> None:
-        if self.n_min < 1:
-            raise ValueError(f"n_min must be >= 1, got {self.n_min}")
-        if self.n_min > self.n_max:
-            raise ValueError(f"n_min {self.n_min} exceeds n_max {self.n_max}")
-        for name, tol in (("float_tol", self.float_tol), ("energy_tol", self.energy_tol)):
-            if not (0.0 < tol < math.inf):
-                raise ValueError(f"{name} must be a positive finite real, got {tol}")
-        if self.scan_limit < 1:
-            raise ValueError(f"scan_limit must be >= 1, got {self.scan_limit}")
-        if self.fixed_t < 2:
-            raise ValueError(f"fixed_t must be >= 2, got {self.fixed_t}")
+def _check_tol(name: str, tol: float) -> None:
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"{name} must be a positive finite real, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +90,8 @@ class CollisionPair:
 # Per-tree index functions, and the indices read from the tree's spectrum.
 _TREE_INDICES = {
     "W": lambda t: float(wiener_edge_cut(t)),
-    "R": lambda t: randic(t.graph).value,
-    "If1": lambda t: ifk_entropy(t.graph, 1).value,
+    "R": lambda t: randic(t.graph),
+    "If1": lambda t: ifk_entropy(t.graph, 1),
 }
 _SPECTRUM_INDICES = {"E": Spectrum.abs_sum, "Ig": Spectrum.entropy}
 
@@ -129,17 +112,17 @@ def _index_values(trees: list[Tree], kinds: Sequence[str]) -> dict[str, list[flo
 
 
 def verify_conjecture_detail(
-    conjecture: int, n: int, cfg: SearchConfig | None = None
+    conjecture: int, n: int, float_tol: float = 1e-9
 ) -> tuple[list[ViolationRecord], list[ViolationRecord]]:
     """All pairs on ``n`` vertices: (decisive violations, borderline near-ties).
 
     A pair violates when its first-index gap is strictly smaller than its
     second-index gap; the verdict is decisive when the margin clears
-    ``cfg.float_tol``, borderline otherwise.  Each tree's gaps to all later
+    ``float_tol``, borderline otherwise.  Each tree's gaps to all later
     trees are computed as one numpy row, and records are built for the
     violating pairs only.
     """
-    cfg = cfg or SearchConfig()
+    _check_tol("float_tol", float_tol)
     if conjecture not in CONJECTURE_INDEX_PAIRS:
         raise ValueError(f"conjecture id must be 1, 2 or 3, got {conjecture}")
     if n < 4:
@@ -171,7 +154,7 @@ def verify_conjecture_detail(
                 gap_b=gap_b,
                 margin=gap_b - gap_a,
             )
-            if record.margin > cfg.float_tol:
+            if record.margin > float_tol:
                 violations.append(record)
             else:
                 borderline.append(record)
@@ -181,9 +164,9 @@ def verify_conjecture_detail(
     return violations, borderline
 
 
-def verify_conjecture(conjecture: int, n: int, cfg: SearchConfig | None = None) -> list[ViolationRecord]:
+def verify_conjecture(conjecture: int, n: int, float_tol: float = 1e-9) -> list[ViolationRecord]:
     """Decisive violations of the conjecture over all tree pairs on ``n`` vertices."""
-    return verify_conjecture_detail(conjecture, n, cfg)[0]
+    return verify_conjecture_detail(conjecture, n, float_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +180,8 @@ def find_equal_wiener_pairs(n: int) -> list[CollisionPair]:
     Trees are grouped by their edge-cut Wiener index; each pair carries the
     gaps of the other indices, read from the order's index table.
     """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     trees = list(enumerate_trees(n))
     secondary = ("R", "E", "Ig", "If1")
     values = _index_values(trees, ("W",) + secondary)
@@ -340,29 +325,39 @@ def _scan_values(limit: int, minimum: int, squares_only: bool) -> list[int]:
     return list(range(minimum, limit + 1))
 
 
-def caterpillar_scan(cfg: SearchConfig | None = None) -> list[CollisionPair]:
+def caterpillar_scan(
+    scan_limit: int = 100,
+    fixed_t: int = 4,
+    perfect_squares_only: bool = True,
+    equal_order_only: bool = False,
+    float_tol: float = 1e-9,
+) -> list[CollisionPair]:
     """Distinct spine quadruples with equal Randic core at the fixed last degree.
 
-    Scans (x, y, z, t) with t = cfg.fixed_t and coordinates at most
-    cfg.scan_limit (perfect squares only unless disabled).  Candidate pairs
-    within cfg.float_tol are kept, isomorphic duplicates (reversed spines)
-    are dropped via canonical codes, and all-square pairs are re-checked in
-    exact rational arithmetic.
+    Scans (x, y, z, t) with t = fixed_t and coordinates at most scan_limit
+    (perfect squares only unless disabled).  Candidate pairs within
+    float_tol are kept, isomorphic duplicates (reversed spines) are dropped
+    via canonical codes, and all-square pairs are re-checked in exact
+    rational arithmetic.  With equal_order_only, only pairs with equal
+    vertex counts are kept.
     """
-    cfg = cfg or SearchConfig()
-    t = cfg.fixed_t
-    xs = _scan_values(cfg.scan_limit, 1, cfg.perfect_squares_only)
-    yzs = _scan_values(cfg.scan_limit, 2, cfg.perfect_squares_only)
-    quads = [(x, y, z, t) for x in xs for y in yzs for z in yzs]
+    _check_tol("float_tol", float_tol)
+    if scan_limit < 1:
+        raise ValueError(f"scan_limit must be >= 1, got {scan_limit}")
+    if fixed_t < 2:
+        raise ValueError(f"fixed_t must be >= 2, got {fixed_t}")
+    xs = _scan_values(scan_limit, 1, perfect_squares_only)
+    yzs = _scan_values(scan_limit, 2, perfect_squares_only)
+    quads = [(x, y, z, fixed_t) for x in xs for y in yzs for z in yzs]
     scored = sorted(zip((caterpillar_r_core(*q) for q in quads), quads))
     records: list[CollisionPair] = []
     for i in range(len(scored)):
         r_i, quad_i = scored[i]
         j = i + 1
-        while j < len(scored) and scored[j][0] - r_i <= cfg.float_tol:
+        while j < len(scored) and scored[j][0] - r_i <= float_tol:
             quad_j = scored[j][1]
             j += 1
-            record = _caterpillar_pair(quad_i, quad_j, cfg)
+            record = _caterpillar_pair(quad_i, quad_j, equal_order_only)
             if record is not None:
                 records.append(record)
     records.sort(key=lambda p: (p.label_a or "", p.label_b or ""))
@@ -370,11 +365,11 @@ def caterpillar_scan(cfg: SearchConfig | None = None) -> list[CollisionPair]:
 
 
 def _caterpillar_pair(
-    quad_a: tuple[int, int, int, int], quad_b: tuple[int, int, int, int], cfg: SearchConfig
+    quad_a: tuple[int, int, int, int], quad_b: tuple[int, int, int, int], equal_order_only: bool
 ) -> CollisionPair | None:
     if quad_a > quad_b:
         quad_a, quad_b = quad_b, quad_a
-    if cfg.equal_order_only and sum(quad_a) != sum(quad_b):
+    if equal_order_only and sum(quad_a) != sum(quad_b):
         return None
     tree_a = build_caterpillar(CaterpillarSpec(*quad_a))
     tree_b = build_caterpillar(CaterpillarSpec(*quad_b))
@@ -407,20 +402,23 @@ def _caterpillar_pair(
 # ---------------------------------------------------------------------------
 
 
-def equienergetic_scan(cfg: SearchConfig | None = None) -> list[CollisionPair]:
+def equienergetic_scan(n_min: int = 4, n_max: int = 10, energy_tol: float = 1e-8) -> list[CollisionPair]:
     """Tree pairs with numerically equal energy, flagged cospectral or not.
 
-    For each order in cfg.n_min..cfg.n_max, trees are sorted by the E column
-    of the order's index table and neighbours within cfg.energy_tol are
-    paired.  Every pair carries its energy gap, an exact cospectrality flag
+    For each order in n_min..n_max, trees are sorted by the E column of the
+    order's index table and neighbours within energy_tol are paired.  Every pair carries its energy gap, an exact cospectrality flag
     (equal characteristic polynomials, expanded once per tree that is in a
     pair), and the spectral entropy gap.  Non-cospectral pairs with a
     decisive entropy gap are marked as candidate refutations of the
-    energy-entropy conjecture.
+    energy-entropy conjecture (Ig gap above ``CANDIDATE_IG_GAP``).
     """
-    cfg = cfg or SearchConfig()
+    if n_min < 2:
+        raise ValueError(f"n_min must be >= 2, got {n_min}")
+    if n_min > n_max:
+        raise ValueError(f"n_min {n_min} exceeds n_max {n_max}")
+    _check_tol("energy_tol", energy_tol)
     records: list[CollisionPair] = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
+    for n in range(n_min, n_max + 1):
         trees = list(enumerate_trees(n))
         values = _index_values(trees, ("E", "Ig"))
         energies = values["E"]
@@ -429,12 +427,12 @@ def equienergetic_scan(cfg: SearchConfig | None = None) -> list[CollisionPair]:
         for pos in range(len(order)):
             i = order[pos]
             nxt = pos + 1
-            while nxt < len(order) and energies[order[nxt]] - energies[i] <= cfg.energy_tol:
+            while nxt < len(order) and energies[order[nxt]] - energies[i] <= energy_tol:
                 pairs.append((i, order[nxt]))
                 nxt += 1
         paired = {i for pair in pairs for i in pair}
         rows = {i: (energies[i], values["Ig"][i], char_poly(trees[i].graph).coeffs) for i in paired}
-        records.extend(_equienergetic_pair(trees[i], trees[j], rows[i], rows[j], cfg) for i, j in pairs)
+        records.extend(_equienergetic_pair(trees[i], trees[j], rows[i], rows[j]) for i, j in pairs)
     records.sort(key=lambda p: (p.n_a, p.shared_value, p.code_a, p.code_b))
     return records
 
@@ -444,7 +442,6 @@ def _equienergetic_pair(
     tree_b: Tree,
     row_a: tuple[float, float, tuple[int, ...]],
     row_b: tuple[float, float, tuple[int, ...]],
-    cfg: SearchConfig,
 ) -> CollisionPair:
     """The record of one pair; a row is the tree's (E, Ig, char_poly coefficients)."""
     if tree_a.code_hex > tree_b.code_hex:
@@ -464,5 +461,5 @@ def _equienergetic_pair(
         shared_value=(e_a + e_b) / 2.0,
         secondary_gaps=(("E", abs(e_a - e_b)), ("Ig", ig_gap)),
         cospectral=cospectral,
-        candidate=(not cospectral) and ig_gap > cfg.float_tol,
+        candidate=(not cospectral) and ig_gap > CANDIDATE_IG_GAP,
     )

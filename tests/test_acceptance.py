@@ -18,7 +18,6 @@ import sympy
 import conftest
 from conftest import path_graph, star_graph
 from treedist import (
-    SearchConfig,
     Tree,
     caterpillar_r_core_exact,
     caterpillar_scan,
@@ -71,15 +70,15 @@ def test_criterion_1_closed_forms():
     started = time.perf_counter()
     tol = 1e-9
 
-    _check(failures, wiener(path_graph(5)).value == 20, "W(P5) != 20")
-    _check(failures, wiener(star_graph(3)).value == 9, "W(K1,3) != 9")
+    _check(failures, wiener(path_graph(5)) == 20, "W(P5) != 20")
+    _check(failures, wiener(star_graph(3)) == 9, "W(K1,3) != 9")
     for q in range(2, 13):
         star = star_graph(q)
-        _check(failures, abs(randic(star).value - math.sqrt(q)) <= tol, f"R(K1,{q})")
-        _check(failures, abs(ig_entropy(star).value - math.log(2)) <= tol, f"Ig(K1,{q})")
-    _check(failures, abs(randic(path_graph(4)).value - (0.5 + math.sqrt(2))) <= tol, "R(P4)")
-    _check(failures, abs(energy(star_graph(3)).value - 2 * math.sqrt(3)) <= tol, "E(K1,3)")
-    _check(failures, abs(energy(path_graph(4)).value - 2 * math.sqrt(5)) <= tol, "E(P4)")
+        _check(failures, abs(randic(star) - math.sqrt(q)) <= tol, f"R(K1,{q})")
+        _check(failures, abs(ig_entropy(star) - math.log(2)) <= tol, f"Ig(K1,{q})")
+    _check(failures, abs(randic(path_graph(4)) - (0.5 + math.sqrt(2))) <= tol, "R(P4)")
+    _check(failures, abs(energy(star_graph(3)) - 2 * math.sqrt(3)) <= tol, "E(K1,3)")
+    _check(failures, abs(energy(path_graph(4)) - 2 * math.sqrt(5)) <= tol, "E(P4)")
     _check(failures, char_poly(path_graph(4)).coeffs == (1, 0, -3, 0, 1), "char_poly(P4)")
 
     elapsed = time.perf_counter() - started
@@ -96,7 +95,7 @@ def test_criterion_2_caterpillar_identities():
     failures: list[str] = []
     started = time.perf_counter()
 
-    records = caterpillar_scan(SearchConfig(scan_limit=64, fixed_t=4))
+    records = caterpillar_scan(scan_limit=64, fixed_t=4)
     import ast
 
     pair_sets = {
@@ -178,9 +177,9 @@ def test_criterion_4_verifier_scale():
     sample = [tuple(rng.sample(range(len(trees)), 2)) for _ in range(100)]
     batch = {cid: tuple(_index_values(trees, CONJECTURE_INDEX_PAIRS[cid]).values()) for cid in (1, 2, 3)}
     recomputed = {
-        1: lambda g, t: (float(wiener_edge_cut(t)), randic(g).value),
-        2: lambda g, t: (energy(g).value, ig_entropy(g).value),
-        3: lambda g, t: (randic(g).value, ifk_entropy(g, 1).value),
+        1: lambda g, t: (float(wiener_edge_cut(t)), randic(g)),
+        2: lambda g, t: (energy(g), ig_entropy(g)),
+        3: lambda g, t: (randic(g), ifk_entropy(g, 1)),
     }
     for i, j in sample:
         fresh = [Tree(from_edge_list(10, trees[k].edges)) for k in (i, j)]
@@ -371,8 +370,8 @@ def test_criterion_8_equienergetic_scan():
     failures: list[str] = []
     started = time.perf_counter()
 
-    cfg = SearchConfig(n_min=4, n_max=13, energy_tol=1e-8)
-    records = equienergetic_scan(cfg)
+    energy_tol = 1e-8
+    records = equienergetic_scan(n_min=4, n_max=13, energy_tol=energy_tol)
     cospectral = [r for r in records if r.cospectral]
     candidates = [r for r in records if not r.cospectral]
 
@@ -393,7 +392,7 @@ def test_criterion_8_equienergetic_scan():
         spec_b = eigenvalues(from_edge_list(r.n_b, r.edges_b))
         _check(
             failures,
-            abs(spec_a.abs_sum() - spec_b.abs_sum()) <= cfg.energy_tol,
+            abs(spec_a.abs_sum() - spec_b.abs_sum()) <= energy_tol,
             f"candidate at n={r.n_a} fails 1e-12 re-verification",
         )
         gaps = dict(r.secondary_gaps)

@@ -251,8 +251,11 @@ def test_non_finite_inputs_exit_1(capsys, p4_file, argv, message):
         (["scan", "equienergetic", "--n-min", "9", "--n-max", "8"], "n_min 9 exceeds n_max 8"),
         (["scan", "caterpillar", "--limit", "0"], "scan_limit must be >= 1, got 0"),
         (["scan", "caterpillar", "--t", "1"], "fixed_t must be >= 2, got 1"),
+        (["scan", "equienergetic", "--n-min", "1", "--n-max", "3"], "n_min must be >= 2, got 1"),
+        (["scan", "equal-wiener", "--n", "1"], "n must be >= 2, got 1"),
     ],
-    ids=["verify-n-above-n-max", "equienergetic-n-min-above-n-max", "caterpillar-limit-0", "caterpillar-t-1"],
+    ids=["verify-n-above-n-max", "equienergetic-n-min-above-n-max", "caterpillar-limit-0", "caterpillar-t-1",
+         "equienergetic-n-min-1", "equal-wiener-n-1"],
 )
 def test_out_of_range_parameters_exit_1(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

@@ -12,7 +12,6 @@ import pytest
 from conftest import path_tree
 from treedist import (
     GraphError,
-    SearchConfig,
     Tree,
     attach_tree,
     caterpillar_r_core,
@@ -58,8 +57,8 @@ def _tree_by_code(n: int, code_hex: str) -> Tree:
 
 def test_conjecture1_n4_no_violation():
     trees = list(enumerate_trees(4))
-    w = sorted(wiener(t.graph).value for t in trees)
-    r = sorted(randic(t.graph).value for t in trees)
+    w = sorted(wiener(t.graph) for t in trees)
+    r = sorted(randic(t.graph) for t in trees)
     assert w == [9, 10]
     assert abs(r[1] - r[0]) == pytest.approx(0.5 + math.sqrt(2) - math.sqrt(3), abs=1e-12)
     assert verify_conjecture(1, 4) == []
@@ -67,8 +66,8 @@ def test_conjecture1_n4_no_violation():
 
 def test_conjecture3_n4_no_violation():
     trees = list(enumerate_trees(4))
-    r = [randic(t.graph).value for t in trees]
-    f = [ifk_entropy(t.graph, 1).value for t in trees]
+    r = [randic(t.graph) for t in trees]
+    f = [ifk_entropy(t.graph, 1) for t in trees]
     assert abs(r[0] - r[1]) > abs(f[0] - f[1])
     assert verify_conjecture(3, 4) == []
 
@@ -101,14 +100,14 @@ def test_violation_records_replay():
             ta = _tree_by_code(n, v.code_a)
             tb = _tree_by_code(n, v.code_b)
             if conjecture == 1:
-                ga = abs(wiener(ta.graph).value - wiener(tb.graph).value)
-                gb = abs(randic(ta.graph).value - randic(tb.graph).value)
+                ga = abs(wiener(ta.graph) - wiener(tb.graph))
+                gb = abs(randic(ta.graph) - randic(tb.graph))
             elif conjecture == 2:
-                ga = abs(energy(ta.graph).value - energy(tb.graph).value)
-                gb = abs(ig_entropy(ta.graph).value - ig_entropy(tb.graph).value)
+                ga = abs(energy(ta.graph) - energy(tb.graph))
+                gb = abs(ig_entropy(ta.graph) - ig_entropy(tb.graph))
             else:
-                ga = abs(randic(ta.graph).value - randic(tb.graph).value)
-                gb = abs(ifk_entropy(ta.graph, 1).value - ifk_entropy(tb.graph, 1).value)
+                ga = abs(randic(ta.graph) - randic(tb.graph))
+                gb = abs(ifk_entropy(ta.graph, 1) - ifk_entropy(tb.graph, 1))
             assert abs((gb - ga) - v.margin) <= 1e-12
 
 
@@ -126,7 +125,7 @@ def test_borderline_records_are_separate():
     assert all(0 < b.margin <= 1e-9 for b in borderline)
 
 
-def _pair_loop_oracle(conjecture, n, cfg):
+def _pair_loop_oracle(conjecture, n, float_tol=1e-9):
     """The plain double loop over every tree pair, one record per violating pair."""
     trees = list(enumerate_trees(n))
     kind_a, kind_b = CONJECTURE_INDEX_PAIRS[conjecture]
@@ -153,7 +152,7 @@ def _pair_loop_oracle(conjecture, n, cfg):
                 gap_b=gap_b,
                 margin=gap_b - gap_a,
             )
-            (violations if record.margin > cfg.float_tol else borderline).append(record)
+            (violations if record.margin > float_tol else borderline).append(record)
     key = lambda r: (-r.margin, r.code_a, r.code_b)
     return sorted(violations, key=key), sorted(borderline, key=key)
 
@@ -161,10 +160,9 @@ def _pair_loop_oracle(conjecture, n, cfg):
 @pytest.mark.parametrize("float_tol", [1e-9, 0.05])
 @pytest.mark.parametrize("conjecture", [1, 2, 3])
 def test_pair_sweep_matches_double_loop_oracle(conjecture, float_tol):
-    cfg = SearchConfig(float_tol=float_tol)
     for n in range(4, 11):
         # Dataclass equality compares every float with ==, in list order.
-        assert verify_conjecture_detail(conjecture, n, cfg) == _pair_loop_oracle(conjecture, n, cfg)
+        assert verify_conjecture_detail(conjecture, n, float_tol) == _pair_loop_oracle(conjecture, n, float_tol)
 
 
 def test_pair_sweep_counts_nan_gaps_as_borderline(monkeypatch):
@@ -176,10 +174,9 @@ def test_pair_sweep_counts_nan_gaps_as_borderline(monkeypatch):
         return {**values, kinds[0]: [math.nan] + first[1:]}
 
     monkeypatch.setattr(search, "_index_values", with_nan)
-    cfg = SearchConfig()
-    swept = verify_conjecture_detail(3, 7, cfg)
+    swept = verify_conjecture_detail(3, 7)
     # NaN != NaN, so compare the bit-exact reprs instead.
-    assert repr(swept) == repr(_pair_loop_oracle(3, 7, cfg))
+    assert repr(swept) == repr(_pair_loop_oracle(3, 7))
     assert sum(math.isnan(r.gap_a) for r in swept[1]) == 10
 
 
@@ -202,7 +199,7 @@ def test_equal_wiener_pairs_absent_below_7():
 
 
 def test_equal_wiener_n5_values():
-    values = sorted(wiener(t.graph).value for t in enumerate_trees(5))
+    values = sorted(wiener(t.graph) for t in enumerate_trees(5))
     assert values == [16, 18, 20]
 
 
@@ -214,7 +211,7 @@ def test_smallest_equal_wiener_order_is_7():
         assert p.code_a != p.code_b
         ta = Tree(from_edge_list(p.n_a, p.edges_a))
         tb = Tree(from_edge_list(p.n_b, p.edges_b))
-        assert wiener(ta.graph).value == wiener(tb.graph).value == p.shared_value
+        assert wiener(ta.graph) == wiener(tb.graph) == p.shared_value
         assert wiener_edge_cut(ta) == wiener_edge_cut(tb) == p.shared_value
         assert dict(p.secondary_gaps)["R"] > 1e-6
 
@@ -273,7 +270,7 @@ def test_attachment_invariance_on_discovered_pair():
         s_root, r_root = rng.randrange(s.n), rng.randrange(r.n)
         grown_a = attach_tree(attach_tree(ta, attach_a[0], s, s_root), attach_a[1], r, r_root)
         grown_b = attach_tree(attach_tree(tb, attach_b[0], s, s_root), attach_b[1], r, r_root)
-        assert wiener(grown_a.graph).value == wiener(grown_b.graph).value
+        assert wiener(grown_a.graph) == wiener(grown_b.graph)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +296,7 @@ def test_r_core_exact_requires_squares():
 
 
 def test_scan_finds_reference_pairs():
-    cfg = SearchConfig(scan_limit=64, fixed_t=4)
-    records = caterpillar_scan(cfg)
+    records = caterpillar_scan(scan_limit=64, fixed_t=4)
     found = {frozenset((_quad(p.label_a), _quad(p.label_b))) for p in records}
     assert frozenset({(9, 4, 9, 4), (4, 16, 4, 4)}) in found
     assert frozenset({(36, 36, 4, 4), (64, 9, 9, 4)}) in found
@@ -313,8 +309,7 @@ def test_scan_finds_reference_pairs():
 
 
 def test_scan_if1_spine_gap_value():
-    cfg = SearchConfig(scan_limit=64, fixed_t=4)
-    records = caterpillar_scan(cfg)
+    records = caterpillar_scan(scan_limit=64, fixed_t=4)
     pair_one = next(
         p for p in records if {_quad(p.label_a), _quad(p.label_b)} == {(9, 4, 9, 4), (4, 16, 4, 4)}
     )
@@ -324,8 +319,7 @@ def test_scan_if1_spine_gap_value():
 
 
 def test_scan_equal_order_mode():
-    cfg = SearchConfig(scan_limit=64, fixed_t=4, equal_order_only=True)
-    records = caterpillar_scan(cfg)
+    records = caterpillar_scan(scan_limit=64, fixed_t=4, equal_order_only=True)
     quad_sets = {frozenset((_quad(p.label_a), _quad(p.label_b))) for p in records}
     assert frozenset({(9, 4, 9, 4), (4, 16, 4, 4)}) not in quad_sets
     assert frozenset({(16, 9, 25, 4), (25, 16, 9, 4)}) in quad_sets
@@ -336,15 +330,13 @@ def test_scan_equal_order_mode():
 def test_scan_drops_isomorphic_reversals():
     # (4, y, z, 4) and (4, z, y, 4) build the same free tree; no record may
     # pair a quadruple with its own reversal.
-    cfg = SearchConfig(scan_limit=64, fixed_t=4)
-    for p in caterpillar_scan(cfg):
+    for p in caterpillar_scan(scan_limit=64, fixed_t=4):
         qa, qb = _quad(p.label_a), _quad(p.label_b)
         assert qa != tuple(reversed(qb))
 
 
 def test_scan_deterministic():
-    cfg = SearchConfig(scan_limit=64, fixed_t=4)
-    assert caterpillar_scan(cfg) == caterpillar_scan(cfg)
+    assert caterpillar_scan(scan_limit=64, fixed_t=4) == caterpillar_scan(scan_limit=64, fixed_t=4)
 
 
 def test_r_core_difference_matches_built_trees():
@@ -354,8 +346,8 @@ def test_r_core_difference_matches_built_trees():
     quad_pairs = [((9, 4, 9, 4), (4, 16, 4, 4)), ((4, 4, 4, 4), (9, 4, 9, 4))]
     for qa, qb in quad_pairs:
         for use_tail in (None, tail):
-            ra = randic(build_caterpillar(CaterpillarSpec(*qa, tail=use_tail)).graph).value
-            rb = randic(build_caterpillar(CaterpillarSpec(*qb, tail=use_tail)).graph).value
+            ra = randic(build_caterpillar(CaterpillarSpec(*qa, tail=use_tail)).graph)
+            rb = randic(build_caterpillar(CaterpillarSpec(*qb, tail=use_tail)).graph)
             core_diff = caterpillar_r_core(*qa) - caterpillar_r_core(*qb)
             assert (ra - rb) == pytest.approx(core_diff, abs=1e-12)
 
@@ -366,8 +358,7 @@ def test_r_core_difference_matches_built_trees():
 
 
 def test_equienergetic_scan_n8_n9():
-    cfg = SearchConfig(n_min=8, n_max=9)
-    records = equienergetic_scan(cfg)
+    records = equienergetic_scan(n_min=8, n_max=9)
     cospectral = [r for r in records if r.cospectral]
     candidates = [r for r in records if not r.cospectral]
     # Exact census: one cospectral pair at n=8, five at n=9 (test_spectral),
@@ -386,8 +377,7 @@ def test_equienergetic_candidate_is_exactly_equienergetic():
     # Independent oracle: exact real roots of both char polys to 50 digits.
     import sympy
 
-    cfg = SearchConfig(n_min=9, n_max=9)
-    cand = next(r for r in equienergetic_scan(cfg) if not r.cospectral)
+    cand = next(r for r in equienergetic_scan(n_min=9, n_max=9) if not r.cospectral)
     lam = sympy.symbols("lam")
     energies = []
     for edges in (cand.edges_a, cand.edges_b):
@@ -409,7 +399,7 @@ def test_equienergetic_scan_solves_each_spectrum_once(monkeypatch):
         return solve(graphs)
 
     monkeypatch.setattr(search, "spectra", counted)
-    equienergetic_scan(SearchConfig(n_min=4, n_max=10))
+    equienergetic_scan(n_min=4, n_max=10)
     assert sum(calls) == sum(count_trees(n) for n in range(4, 11)) == 198
     assert len(calls) == 7
 
@@ -423,15 +413,14 @@ def test_equienergetic_scan_expands_each_char_poly_once(monkeypatch):
         return expand(g)
 
     monkeypatch.setattr(search, "char_poly", counted)
-    records = equienergetic_scan(SearchConfig(n_min=4, n_max=11))
+    records = equienergetic_scan(n_min=4, n_max=11)
     assert len(records) == 44
     # One expansion per distinct tree in the records, not one per pair it is in.
     assert len(expanded) == len({code for r in records for code in (r.code_a, r.code_b)}) == 82
 
 
 def test_equienergetic_records_are_deterministic_and_distinct():
-    cfg = SearchConfig(n_min=8, n_max=9)
-    records = equienergetic_scan(cfg)
-    assert records == equienergetic_scan(cfg)
+    records = equienergetic_scan(n_min=8, n_max=9)
+    assert records == equienergetic_scan(n_min=8, n_max=9)
     assert all(r.code_a < r.code_b for r in records)
     assert len({(r.code_a, r.code_b) for r in records}) == len(records)
