@@ -76,8 +76,12 @@ FORMATS = ("json", "csv")
 # The verify reports at n = 11..12 (2,517 / 672 / 4,662 violations and
 # 7 / 10 / 4 borderline records for conjectures 1 / 2 / 3) pin every byte of
 # the record lists; they were recorded from the stdlib indented encoder,
-# before verify's records were written through a template.
+# before verify's records were written through a template.  The order-14
+# enumeration (3,159 trees) pins the canonical code and the edge order of
+# every tree; it was recorded before enumerated trees took their codes from
+# the rooted-tree catalog.
 DIGEST_CASES = {
+    "enumerate-14": ["enumerate", "--n", "14"],
     "scan-equienergetic-4-12": ["scan", "equienergetic", "--n-min", "4", "--n-max", "12"],
     "scan-equal-wiener-12": ["scan", "equal-wiener", "--n", "12"],
     "verify-c1-11-12": ["verify", "--conjecture", "1", "--n", "11", "--n-max", "12"],
@@ -126,6 +130,10 @@ def test_equienergetic_tie_order_digest():
 
 def test_equal_wiener_digest():
     _check_digest("scan-equal-wiener-12")
+
+
+def test_enumerate_digest():
+    _check_digest("enumerate-14")
 
 
 @pytest.mark.parametrize("conjecture", [1, 2, 3])
