@@ -12,7 +12,8 @@ centroid corresponds to a multiset of rooted subtrees of size at most
 ``(n-1)//2``, and a bicentroidal tree (even ``n``) to an unordered pair of
 rooted trees of size ``n//2``.  Rooted trees themselves come from the
 classic lexicographic level-sequence successor, so no duplicates can arise
-and the stream is deterministic.
+and the stream is deterministic.  Each enumerated tree's canonical code is
+built from the catalog's rooted codes of its branches at the centroid.
 """
 
 from __future__ import annotations
@@ -159,6 +160,9 @@ def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (or ``n <= 1``)."""
     if g.n <= 1:
         return True
+    # Sufficient only: if every v > 0 has a smaller neighbour, walking down reaches 0.
+    if {v for u, v in g.edges if u < v}.issuperset(range(1, g.n)):
+        return True
     seen = bytearray(g.n)
     seen[0] = 1
     stack = [0]
@@ -254,12 +258,15 @@ def _rooted_code(g: Graph, root: int) -> bytes:
     children: list[list[bytes]] = [[] for _ in range(g.n)]
     code: list[bytes] = [b""] * g.n
     for v in reversed(order):
-        kids = children[v]
-        kids.sort()
-        code[v] = b"\x01" + b"".join(kids) + b"\x00"
+        code[v] = _node_code(children[v])
         if v != root:
             children[parent[v]].append(code[v])
     return code[root]
+
+
+def _node_code(child_codes: Iterable[bytes]) -> bytes:
+    """AHU code of a vertex from the codes of its children, in any order."""
+    return b"\x01" + b"".join(sorted(child_codes)) + b"\x00"
 
 
 def _canonical_code(g: Graph) -> bytes:
@@ -306,11 +313,30 @@ def _level_sequence_edges(seq: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def _rooted_catalog(max_size: int) -> dict[int, list[tuple[tuple[int, int], ...]]]:
+# A catalog rooted tree: edges (parent, child), its root's sorted child codes, its rooted code.
+_Rooted = tuple[tuple[tuple[int, int], ...], tuple[bytes, ...], bytes]
+
+
+def _rooted_entry(edges: tuple[tuple[int, int], ...]) -> _Rooted:
+    kids: list[list[bytes]] = [[] for _ in range(len(edges) + 1)]
+    # Children carry higher labels than their parents, so each is complete when reached.
+    for parent, child in reversed(edges):
+        kids[parent].append(_node_code(kids[child]))
+    kids[0].sort()
+    return edges, tuple(kids[0]), _node_code(kids[0])
+
+
+def _rooted_catalog(max_size: int) -> dict[int, list[_Rooted]]:
     return {
-        k: [_level_sequence_edges(s) for s in _rooted_level_sequences(k)]
+        k: [_rooted_entry(_level_sequence_edges(s)) for s in _rooted_level_sequences(k)]
         for k in range(1, max_size + 1)
     }
+
+
+def _coded_tree(graph: Graph, code: bytes) -> Tree:
+    tree = Tree(graph)
+    tree.__dict__["code"] = code  # fills the cached property, as _canonical_code would
+    return tree
 
 
 def enumerate_trees(n: int) -> Iterator[Tree]:
@@ -318,12 +344,13 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
 
     Deterministic order: trees with a single centroid first (multisets of
     rooted branches in successor order, largest branch first), then
-    bicentroidal trees for even ``n``.
+    bicentroidal trees for even ``n``.  Each tree comes with its canonical
+    code, built from the catalog's rooted codes of its branches.
     """
     if n < 1:
         raise GraphError(f"tree order must be >= 1, got {n}")
     if n == 1:
-        yield Tree(Graph(1, ()))
+        yield _coded_tree(Graph(1, ()), b"\x01\x00")
         return
     catalog = _rooted_catalog(n // 2)
     half = (n - 1) // 2
@@ -341,25 +368,31 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
 
     for parts in multisets(0, n - 1, []):
         edges: list[tuple[int, int]] = []
+        codes: list[bytes] = []
         base = 1
         for k, idx in parts:
+            branch_edges, _, branch_code = catalog[k][idx]
             edges.append((0, base))
-            for pu, pv in catalog[k][idx]:
+            for pu, pv in branch_edges:
                 edges.append((base + pu, base + pv))
+            codes.append(branch_code)
             base += k
-        yield Tree(Graph(n, tuple(sorted(edges))))
+        yield _coded_tree(Graph(n, tuple(sorted(edges))), _node_code(codes))
 
     if n % 2 == 0:
         k = n // 2
         halves = catalog[k]
         for i in range(len(halves)):
+            edges_i, branches_i, code_i = halves[i]
             for j in range(i, len(halves)):
+                edges_j, branches_j, code_j = halves[j]
                 edges = [(0, k)]
-                for pu, pv in halves[i]:
-                    edges.append((pu, pv))
-                for pu, pv in halves[j]:
+                edges.extend(edges_i)
+                for pu, pv in edges_j:
                     edges.append((k + pu, k + pv))
-                yield Tree(Graph(n, tuple(sorted(edges))))
+                # Root at 0 or at k: the half across the central edge becomes a child.
+                code = min(_node_code(branches_i + (code_j,)), _node_code(branches_j + (code_i,)))
+                yield _coded_tree(Graph(n, tuple(sorted(edges))), code)
 
 
 def count_trees(n: int) -> int:

@@ -42,6 +42,22 @@ def star_tree(q: int) -> Tree:
     return Tree(star_graph(q))
 
 
+def dfs_connected(g: Graph) -> bool:
+    """Whether a DFS from vertex 0 reaches every vertex (oracle for ``is_connected``)."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen = {0} if g.n else set()
+    stack = list(seen)
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
 def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
     """Decide isomorphism by trying all vertex permutations (oracle, n <= ~8)."""
     if a.n != b.n or a.m != b.m:

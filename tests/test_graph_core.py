@@ -6,8 +6,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_isomorphic, cycle_graph, path_graph, path_tree, star_graph, star_tree
+from conftest import (
+    brute_force_isomorphic,
+    cycle_graph,
+    dfs_connected,
+    path_graph,
+    path_tree,
+    star_graph,
+    star_tree,
+)
 from treedist import (
     CaterpillarSpec,
     DisconnectedGraphError,
@@ -25,10 +35,11 @@ from treedist import (
     enumerate_trees,
     format_edge_list,
     from_edge_list,
+    is_connected,
     parse_edge_list,
     unit_edit_neighbors,
 )
-from treedist.graph_core import Graph
+from treedist.graph_core import Graph, _canonical_code
 
 # Free tree counts for n = 1..12, cross-checked against the Pruefer
 # generate-and-dedup oracle for n <= 8 in test_acceptance.
@@ -93,6 +104,58 @@ def test_tree_rejects_cycle_and_forest():
 
 
 # ---------------------------------------------------------------------------
+# Connectivity
+# ---------------------------------------------------------------------------
+
+
+def larger_endpoints_cover(g: Graph) -> bool:
+    """Whether every vertex 1..n-1 is the larger endpoint of some edge."""
+    return {v for _, v in g.edges} >= set(range(1, g.n))
+
+
+@st.composite
+def simple_graphs(draw) -> Graph:
+    # Sparse draws: around n edges, where an edge count says least about connectivity.
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    return from_edge_list(n, {(min(p), max(p)) for p in pairs if p[0] != p[1]})
+
+
+TRIANGLE_AND_ISOLATED = from_edge_list(4, [(0, 1), (1, 2), (0, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_graphs())
+@example(TRIANGLE_AND_ISOLATED)
+def test_is_connected_matches_dfs_oracle(g):
+    assert is_connected(g) == dfs_connected(g)
+
+
+def test_triangle_and_isolated_vertex_is_not_a_tree():
+    g = TRIANGLE_AND_ISOLATED
+    assert g.m == g.n - 1 and not larger_endpoints_cover(g)
+    assert not is_connected(g)
+    with pytest.raises(NotATreeError):
+        Tree(g)
+
+
+def test_path_with_uncovered_labels_is_connected():
+    # The path 0-3-1-2: vertex 1 has no smaller neighbour, so the DFS decides.
+    g = from_edge_list(4, [(0, 3), (3, 1), (1, 2)])
+    assert not larger_endpoints_cover(g)
+    assert is_connected(g)
+    assert Tree(g).code == path_tree(4).code
+
+
+def test_covered_labels_with_extra_edges_is_connected():
+    g = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
+    assert larger_endpoints_cover(g)
+    assert is_connected(g)
+    with pytest.raises(NotATreeError):
+        Tree(g)
+
+
+# ---------------------------------------------------------------------------
 # Canonical codes
 # ---------------------------------------------------------------------------
 
@@ -125,6 +188,18 @@ def test_ahu_code_complete_invariant_up_to_n7():
             assert a.code != b.code
         codes = {t.code for t in trees}
         assert len(codes) == len(trees)
+
+
+def test_enumerated_codes_match_canonical_code():
+    # Enumerated trees carry codes built from the rooted catalog; the
+    # centroid-rooted walk over the edges is the oracle.
+    for n in range(1, 15):
+        for t in enumerate_trees(n):
+            assert t.code == _canonical_code(t.graph)
+
+
+def test_order_16_codes_are_distinct():
+    assert len({t.code for t in enumerate_trees(16)}) == 19320
 
 
 def test_eleven_distinct_codes_on_seven_vertices():
