@@ -59,6 +59,6 @@ from .search import (
     verify_conjecture,
     verify_conjecture_detail,
 )
-from .spectral import CharPoly, Spectrum, TAU_ZERO, char_poly, eigenvalues, is_cospectral, spectra
+from .spectral import Spectrum, TAU_ZERO, char_poly, eigenvalues, is_cospectral, spectra
 
 __version__ = "0.1.0"

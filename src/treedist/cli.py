@@ -438,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         config, payload, header, rows = args.handler(args)
-    except (GraphError, ValueError, OSError) as exc:
+    except (GraphError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - started

@@ -6,14 +6,16 @@ code (centroid-rooted AHU encoding) that is equal exactly for isomorphic
 trees, which is what deduplication and pair reporting key on throughout the
 package.
 
-Free trees are enumerated one isomorphism class at a time by composing
-canonical rooted level sequences at the centroid: a tree with a single
-centroid corresponds to a multiset of rooted subtrees of size at most
-``(n-1)//2``, and a bicentroidal tree (even ``n``) to an unordered pair of
-rooted trees of size ``n//2``.  Rooted trees themselves come from the
-classic lexicographic level-sequence successor, so no duplicates can arise
-and the stream is deterministic.  Each enumerated tree's canonical code is
-built from the catalog's rooted codes of its branches at the centroid.
+Free trees are enumerated one isomorphism class at a time by one
+composition rule: a root above a multiset of smaller rooted trees.  The
+rooted catalog applies it to every smaller rooted tree, taken in decreasing
+order of canonical level sequence, so each rooted tree arises once.  A tree
+with a single centroid is a root above a multiset of rooted branches of at
+most ``(n-1)//2`` vertices, and a bicentroidal tree (even ``n``) an
+unordered pair of rooted trees of ``n//2`` vertices joined by an edge; no
+duplicates can arise and the stream is deterministic.  Each enumerated
+tree's canonical code is built from the catalog's rooted codes of its
+branches at the centroid.
 """
 
 from __future__ import annotations
@@ -163,19 +165,7 @@ def is_connected(g: Graph) -> bool:
     # Sufficient only: if every v > 0 has a smaller neighbour, walking down reaches 0.
     if {v for u, v in g.edges if u < v}.issuperset(range(1, g.n)):
         return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    adj = g.adjacency
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count == g.n
+    return len(_dfs_order(g, 0)[0]) == g.n
 
 
 @dataclass(frozen=True)
@@ -279,58 +269,54 @@ def _canonical_code(g: Graph) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _rooted_level_sequences(k: int) -> Iterator[tuple[int, ...]]:
-    """All canonical level sequences of rooted trees on ``k`` vertices.
+# A catalog rooted tree: its canonical level sequence one level down (root at depth 1),
+# its edges (parent, child) from root 0 in preorder labels, its root's sorted child
+# codes, and its own rooted code.
+_Branch = tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[bytes, ...], bytes]
 
-    A level sequence lists vertex depths in preorder with the root at depth
-    0; the canonical representative of a class is the lexicographically
-    largest one.  Successor rule: locate the rightmost entry of depth > 1,
-    back up to its parent, and tile the block between them to the end.
-    """
-    if k <= 0:
+
+def _branch_sets(
+    branches: list[_Branch], total: int, start: int = 0, chosen: tuple[_Branch, ...] = ()
+) -> Iterator[tuple[_Branch, ...]]:
+    """Multisets of ``branches`` with ``total`` vertices, as non-decreasing index runs in list order."""
+    if total == 0:
+        yield chosen
         return
-    seq = list(range(k))
-    while True:
-        yield tuple(seq)
-        p = next((i for i in range(k - 1, -1, -1) if seq[i] > 1), None)
-        if p is None:
-            return
-        q = p - 1
-        while seq[q] != seq[p] - 1:
-            q -= 1
-        for i in range(p, k):
-            seq[i] = seq[i - (p - q)]
+    for i in range(start, len(branches)):
+        size = len(branches[i][0])
+        if size <= total:
+            yield from _branch_sets(branches, total - size, i, chosen + (branches[i],))
 
 
-def _level_sequence_edges(seq: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Edges ``(parent, child)`` of the rooted tree encoded by a level sequence."""
-    last_at_depth = [0] * (max(seq) + 1)
+def _glue(parts: Iterable[_Branch], base: int = 1) -> list[tuple[int, int]]:
+    """Edges joining vertex 0 to each branch's root, the branches labelled in turn from ``base``."""
     edges = []
-    for i, d in enumerate(seq):
-        last_at_depth[d] = i
-        if i:
-            edges.append((last_at_depth[d - 1], i))
-    return tuple(edges)
+    for seq, branch_edges, _, _ in parts:
+        edges.append((0, base))
+        for u, v in branch_edges:
+            edges.append((base + u, base + v))
+        base += len(seq)
+    return edges
 
 
-# A catalog rooted tree: edges (parent, child), its root's sorted child codes, its rooted code.
-_Rooted = tuple[tuple[tuple[int, int], ...], tuple[bytes, ...], bytes]
+def _rooted_catalog(max_size: int) -> dict[int, list[_Branch]]:
+    """Every rooted tree on 1..``max_size`` vertices, each size in decreasing level-sequence order.
 
-
-def _rooted_entry(edges: tuple[tuple[int, int], ...]) -> _Rooted:
-    kids: list[list[bytes]] = [[] for _ in range(len(edges) + 1)]
-    # Children carry higher labels than their parents, so each is complete when reached.
-    for parent, child in reversed(edges):
-        kids[parent].append(_node_code(kids[child]))
-    kids[0].sort()
-    return edges, tuple(kids[0]), _node_code(kids[0])
-
-
-def _rooted_catalog(max_size: int) -> dict[int, list[_Rooted]]:
-    return {
-        k: [_rooted_entry(_level_sequence_edges(s)) for s in _rooted_level_sequences(k)]
-        for k in range(1, max_size + 1)
-    }
+    A tree on k vertices is a root above a multiset of smaller trees.  Drawn
+    from every smaller tree in decreasing level-sequence order, the
+    multisets give each tree once, as its canonical (largest) sequence, and
+    in decreasing order of that sequence.
+    """
+    catalog: dict[int, list[_Branch]] = {}
+    smaller: list[_Branch] = []
+    for k in range(1, max_size + 1):
+        catalog[k] = []
+        for parts in _branch_sets(smaller, k - 1):
+            kids = tuple(sorted(b[3] for b in parts))
+            seq = (1, *(d + 1 for b in parts for d in b[0]))
+            catalog[k].append((seq, tuple(_glue(parts)), kids, _node_code(kids)))
+        smaller = sorted(smaller + catalog[k], key=lambda b: b[0], reverse=True)
+    return catalog
 
 
 def _coded_tree(graph: Graph, code: bytes) -> Tree:
@@ -343,55 +329,24 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     """Yield every free tree on ``n`` vertices, one isomorphism class each.
 
     Deterministic order: trees with a single centroid first (multisets of
-    rooted branches in successor order, largest branch first), then
+    rooted branches, largest branch first, each size in catalog order), then
     bicentroidal trees for even ``n``.  Each tree comes with its canonical
     code, built from the catalog's rooted codes of its branches.
     """
     if n < 1:
         raise GraphError(f"tree order must be >= 1, got {n}")
-    if n == 1:
-        yield _coded_tree(Graph(1, ()), b"\x01\x00")
-        return
     catalog = _rooted_catalog(n // 2)
-    half = (n - 1) // 2
-    flat = [(k, i) for k in range(half, 0, -1) for i in range(len(catalog[k]))]
-
-    def multisets(start: int, remaining: int, chosen: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:
-        if remaining == 0:
-            yield chosen
-            return
-        for i in range(start, len(flat)):
-            k, _ = flat[i]
-            if k > remaining:
-                continue
-            yield from multisets(i, remaining - k, chosen + [flat[i]])
-
-    for parts in multisets(0, n - 1, []):
-        edges: list[tuple[int, int]] = []
-        codes: list[bytes] = []
-        base = 1
-        for k, idx in parts:
-            branch_edges, _, branch_code = catalog[k][idx]
-            edges.append((0, base))
-            for pu, pv in branch_edges:
-                edges.append((base + pu, base + pv))
-            codes.append(branch_code)
-            base += k
-        yield _coded_tree(Graph(n, tuple(sorted(edges))), _node_code(codes))
-
+    branches = [b for k in range((n - 1) // 2, 0, -1) for b in catalog[k]]
+    for parts in _branch_sets(branches, n - 1):
+        yield _coded_tree(Graph(n, tuple(sorted(_glue(parts)))), _node_code(b[3] for b in parts))
     if n % 2 == 0:
-        k = n // 2
-        halves = catalog[k]
-        for i in range(len(halves)):
-            edges_i, branches_i, code_i = halves[i]
-            for j in range(i, len(halves)):
-                edges_j, branches_j, code_j = halves[j]
-                edges = [(0, k)]
-                edges.extend(edges_i)
-                for pu, pv in edges_j:
-                    edges.append((k + pu, k + pv))
-                # Root at 0 or at k: the half across the central edge becomes a child.
-                code = min(_node_code(branches_i + (code_j,)), _node_code(branches_j + (code_i,)))
+        halves = catalog[n // 2]
+        for i, (_, edges_i, kids_i, code_i) in enumerate(halves):
+            for half_j in halves[i:]:
+                _, _, kids_j, code_j = half_j
+                edges = [*edges_i, *_glue((half_j,), n // 2)]
+                # Root at 0 or at n // 2: the half across the central edge becomes a child.
+                code = min(_node_code(kids_i + (code_j,)), _node_code(kids_j + (code_i,)))
                 yield _coded_tree(Graph(n, tuple(sorted(edges))), code)
 
 

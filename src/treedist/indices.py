@@ -90,10 +90,12 @@ def avg_distance(g: Graph) -> float:
 
 
 def check_probability_vector(p: Sequence[float], tol: float = PROBABILITY_SUM_TOL) -> None:
-    """Reject vectors with negative entries or a sum away from 1."""
+    """Reject vectors with non-finite or negative entries or a sum away from 1."""
     if len(p) == 0:
         raise ValueError("probability vector must be non-empty")
     for x in p:
+        if not math.isfinite(x):
+            raise ValueError(f"probability entries must be finite, got {x}")
         if x < 0.0:
             raise ValueError(f"negative probability entry {x}")
     s = math.fsum(p)

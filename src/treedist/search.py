@@ -431,7 +431,7 @@ def equienergetic_scan(n_min: int = 4, n_max: int = 10, energy_tol: float = 1e-8
                 pairs.append((i, order[nxt]))
                 nxt += 1
         paired = {i for pair in pairs for i in pair}
-        rows = {i: (energies[i], values["Ig"][i], char_poly(trees[i].graph).coeffs) for i in paired}
+        rows = {i: (energies[i], values["Ig"][i], char_poly(trees[i].graph)) for i in paired}
         records.extend(_equienergetic_pair(trees[i], trees[j], rows[i], rows[j]) for i, j in pairs)
     records.sort(key=lambda p: (p.n_a, p.shared_value, p.code_a, p.code_b))
     return records

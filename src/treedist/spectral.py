@@ -55,33 +55,6 @@ class Spectrum:
         return math.log(e_total) - weighted / e_total
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Exact integer characteristic polynomial, coefficients by ascending power.
-
-    ``coeffs[i]`` multiplies ``lambda**i``; the leading coefficient is 1.
-    """
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def evaluation_scale(self, x: float) -> float:
-        """Magnitude Sum |c_i| |x|^i, the natural scale for root residuals."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * abs(x) + abs(c)
-        return max(acc, 1.0)
-
-
 # Bytes of matrix solved as one stack: a block of trees shares each rotation
 # step's numpy calls, and the block bounds the memory the stack and its
 # per-step temporaries hold (227 matrices at n = 12).
@@ -188,8 +161,11 @@ def eigenvalues(g: Graph) -> Spectrum:
     return spectra([g])[0]
 
 
-def char_poly(g: Graph) -> CharPoly:
+def char_poly(g: Graph) -> tuple[int, ...]:
     """Exact integer characteristic polynomial of the adjacency matrix.
+
+    Coefficients by ascending power: entry i multiplies ``lambda**i``, and
+    the last (leading) entry is 1.
 
     Faddeev-LeVerrier over Python integers: M_k = A M_{k-1} + c_{n-k+1} I
     and c_{n-k} = -tr(A M_k) / k.  Row i of A M is the sum of the rows of M
@@ -219,11 +195,11 @@ def char_poly(g: Graph) -> CharPoly:
         if r:
             raise ArithmeticError("Faddeev-LeVerrier division was not exact")
         coeffs[n - k] = q
-    return CharPoly(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def is_cospectral(a: Graph, b: Graph) -> bool:
     """True iff the two graphs share the exact characteristic polynomial."""
     if a.n != b.n:
         raise GraphError(f"cospectrality needs equal orders, got {a.n} and {b.n}")
-    return char_poly(a).coeffs == char_poly(b).coeffs
+    return char_poly(a) == char_poly(b)

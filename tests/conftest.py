@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
+from typing import Iterator
 
 import numpy as np
 
@@ -56,6 +57,30 @@ def dfs_connected(g: Graph) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == g.n
+
+
+def rooted_level_sequences(k: int) -> Iterator[tuple[int, ...]]:
+    """All canonical level sequences of rooted trees on ``k`` vertices (catalog oracle).
+
+    A level sequence lists vertex depths in preorder with the root at depth
+    0; the canonical representative of a class is the lexicographically
+    largest one.  Successor rule (Beyer and Hedetniemi, 1980): locate the
+    rightmost entry of depth > 1, back up to its parent, and tile the block
+    between them to the end.  Sequences come in decreasing order.
+    """
+    if k <= 0:
+        return
+    seq = list(range(k))
+    while True:
+        yield tuple(seq)
+        p = next((i for i in range(k - 1, -1, -1) if seq[i] > 1), None)
+        if p is None:
+            return
+        q = p - 1
+        while seq[q] != seq[p] - 1:
+            q -= 1
+        for i in range(p, k):
+            seq[i] = seq[i - (p - q)]
 
 
 def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
@@ -112,6 +137,19 @@ def scalar_jacobi_eigenvalues(g: Graph) -> np.ndarray:
                 a[p, q] = 0.0
                 a[q, p] = 0.0
     return np.sort(a.diagonal())[::-1].copy()
+
+
+def root_residual_ok(coeffs: tuple[int, ...], x: float) -> bool:
+    """Whether ``x`` is a root of the polynomial to 1e-6 of its natural scale (oracle).
+
+    ``coeffs`` are by ascending power.  The residual p(x) is compared with
+    Sum |c_i| |x|^i (at least 1), the size of the terms it cancels.
+    """
+    value = scale = 0.0
+    for c in reversed(coeffs):
+        value = value * x + c
+        scale = scale * abs(x) + abs(c)
+    return abs(value) <= 1e-6 * max(scale, 1.0)
 
 
 def dense_char_poly(g: Graph) -> tuple[int, ...]:

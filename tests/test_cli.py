@@ -233,9 +233,10 @@ def test_disconnected_input_is_input_error(capsys, tmp_path):
         (["scan", "caterpillar", "--float-tol", "nan"], "float_tol"),
         (["index", "{p4}", "--kind", "Ig", "--log-base", "inf"], "log base"),
         (["bounds", "--theorem", "1", "--p-prime", "0.5,0.5", "--log-base", "inf"], "log base"),
+        (["bounds", "--theorem", "1", "--p-prime", "nan,1"], "probability entries must be finite"),
     ],
     ids=["verify-float-tol-nan", "verify-float-tol-inf", "equienergetic-energy-tol-nan",
-         "caterpillar-float-tol-nan", "index-log-base-inf", "bounds-log-base-inf"],
+         "caterpillar-float-tol-nan", "index-log-base-inf", "bounds-log-base-inf", "bounds-p-prime-nan"],
 )
 def test_non_finite_inputs_exit_1(capsys, p4_file, argv, message):
     code, out, err = run_cli(capsys, [arg.format(p4=p4_file) for arg in argv])
@@ -253,9 +254,11 @@ def test_non_finite_inputs_exit_1(capsys, p4_file, argv, message):
         (["scan", "caterpillar", "--t", "1"], "fixed_t must be >= 2, got 1"),
         (["scan", "equienergetic", "--n-min", "1", "--n-max", "3"], "n_min must be >= 2, got 1"),
         (["scan", "equal-wiener", "--n", "1"], "n must be >= 2, got 1"),
+        (["bounds", "--theorem", "3", "--n", "1" + "0" * 400], "int too large to convert to float"),
+        (["scan", "caterpillar", "--t", "1" + "0" * 400], "int too large to convert to float"),
     ],
     ids=["verify-n-above-n-max", "equienergetic-n-min-above-n-max", "caterpillar-limit-0", "caterpillar-t-1",
-         "equienergetic-n-min-1", "equal-wiener-n-1"],
+         "equienergetic-n-min-1", "equal-wiener-n-1", "bounds-theorem3-n-overflow", "caterpillar-t-overflow"],
 )
 def test_out_of_range_parameters_exit_1(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

@@ -15,6 +15,7 @@ from conftest import (
     dfs_connected,
     path_graph,
     path_tree,
+    rooted_level_sequences,
     star_graph,
     star_tree,
 )
@@ -39,7 +40,7 @@ from treedist import (
     parse_edge_list,
     unit_edit_neighbors,
 )
-from treedist.graph_core import Graph, _canonical_code
+from treedist.graph_core import Graph, _canonical_code, _rooted_catalog, _rooted_code
 
 # Free tree counts for n = 1..12, cross-checked against the Pruefer
 # generate-and-dedup oracle for n <= 8 in test_acceptance.
@@ -233,6 +234,19 @@ def test_count_trees_matches_enumeration():
 def test_count_trees_rejects_empty_order():
     with pytest.raises(GraphError):
         count_trees(0)
+
+
+def test_rooted_catalog_matches_level_sequence_successor():
+    # Oracle: the successor rule lists each size's canonical level sequences in decreasing order.
+    catalog = _rooted_catalog(11)
+    for k in range(1, 12):
+        expected = list(rooted_level_sequences(k))
+        assert [tuple(d - 1 for d in seq) for seq, _, _, _ in catalog[k]] == expected
+        for seq, (_, edges, _, code) in zip(expected, catalog[k]):
+            # A vertex's parent is the last earlier vertex one level up.
+            parents = [max(j for j in range(i) if seq[j] == seq[i] - 1) for i in range(1, k)]
+            assert sorted(edges) == sorted(zip(parents, range(1, k)))
+            assert code == _rooted_code(Graph(k, tuple(sorted(edges))), 0)
 
 
 def test_enumeration_small_orders_explicit():

@@ -17,6 +17,7 @@ from treedist import (
     avg_distance_increase,
     d_index,
     dominates,
+    shannon_entropy,
     theorem1_a,
     theorem1_bound,
     theorem1_degeneracy,
@@ -185,6 +186,13 @@ def test_theorem1_degeneracy_accepts_only_equal_vectors():
 def test_theorem1_degeneracy_rejects_non_probability():
     with pytest.raises(ValueError):
         theorem1_degeneracy([0.5, 0.6], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_probability_vectors_reject_non_finite_entries(bad):
+    for call in (shannon_entropy, theorem1_a, lambda p: theorem1_degeneracy(p, [0.0, 1.0])):
+        with pytest.raises(ValueError, match="probability entries must be finite"):
+            call([bad, 1.0])
 
 
 # ---------------------------------------------------------------------------

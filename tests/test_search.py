@@ -383,7 +383,7 @@ def test_equienergetic_candidate_is_exactly_equienergetic():
     for edges in (cand.edges_a, cand.edges_b):
         from treedist import char_poly
 
-        coeffs = char_poly(from_edge_list(9, edges)).coeffs
+        coeffs = char_poly(from_edge_list(9, edges))
         poly = sympy.Poly(sum(int(c) * lam**i for i, c in enumerate(coeffs)), lam)
         energies.append(sum(abs(r.evalf(50)) for r in sympy.real_roots(poly)))
     assert abs(energies[0] - energies[1]) < 1e-45

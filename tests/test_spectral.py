@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import cycle_graph, dense_char_poly, path_graph, scalar_jacobi_eigenvalues, star_graph
+from conftest import (
+    cycle_graph,
+    dense_char_poly,
+    path_graph,
+    root_residual_ok,
+    scalar_jacobi_eigenvalues,
+    star_graph,
+)
 from treedist import GraphError, char_poly, eigenvalues, enumerate_trees, is_cospectral, spectra
 from treedist import spectral
 from treedist.graph_core import from_edge_list
@@ -35,7 +42,7 @@ def test_eigenvalues_accuracy_against_exact_roots():
     # Oracle: exact real roots of the integer char poly, evaluated to 30 digits.
     lam = sympy.symbols("lam")
     for tree in enumerate_trees(8):
-        coeffs = char_poly(tree.graph).coeffs
+        coeffs = char_poly(tree.graph)
         poly = sympy.Poly(sum(int(c) * lam**i for i, c in enumerate(coeffs)), lam)
         exact = sorted((float(r.evalf(30)) for r in sympy.real_roots(poly)), reverse=True)
         computed = eigenvalues(tree.graph).values
@@ -54,20 +61,20 @@ def _path_char_poly_coeffs(n: int) -> tuple[int, ...]:
 
 
 def test_char_poly_p2():
-    assert char_poly(from_edge_list(2, [(0, 1)])).coeffs == (-1, 0, 1)
+    assert char_poly(from_edge_list(2, [(0, 1)])) == (-1, 0, 1)
 
 
 def test_char_poly_star_k13():
-    assert char_poly(star_graph(3)).coeffs == (0, 0, -3, 0, 1)
+    assert char_poly(star_graph(3)) == (0, 0, -3, 0, 1)
 
 
 def test_char_poly_p4():
-    assert char_poly(path_graph(4)).coeffs == (1, 0, -3, 0, 1)
+    assert char_poly(path_graph(4)) == (1, 0, -3, 0, 1)
 
 
 def test_char_poly_paths_match_transfer_recurrence():
     for n in range(2, 11):
-        assert char_poly(path_graph(n)).coeffs == _path_char_poly_coeffs(n)
+        assert char_poly(path_graph(n)) == _path_char_poly_coeffs(n)
 
 
 def test_char_poly_stars_closed_form():
@@ -76,13 +83,13 @@ def test_char_poly_stars_closed_form():
         expected = [0] * (q + 2)
         expected[q + 1] = 1
         expected[q - 1] = -q
-        assert char_poly(star_graph(q)).coeffs == tuple(expected)
+        assert char_poly(star_graph(q)) == tuple(expected)
 
 
 def test_char_poly_structural_coefficients():
     for n in range(2, 9):
         for tree in enumerate_trees(n):
-            coeffs = char_poly(tree.graph).coeffs
+            coeffs = char_poly(tree.graph)
             assert coeffs[n] == 1
             assert coeffs[n - 1] == 0
             assert coeffs[n - 2] == -(n - 1)
@@ -102,9 +109,9 @@ def test_spectrum_invariants_trees_up_to_10():
 def test_eigenvalues_are_char_poly_roots():
     for n in range(2, 11):
         for tree in enumerate_trees(n):
-            poly = char_poly(tree.graph)
+            coeffs = char_poly(tree.graph)
             for v in eigenvalues(tree.graph).values:
-                assert abs(poly.evaluate(v)) <= 1e-6 * poly.evaluation_scale(v)
+                assert root_residual_ok(coeffs, v)
 
 
 def test_is_cospectral_isomorphic_relabeling():
@@ -132,7 +139,7 @@ def test_isomorphic_enumerated_trees_cospectral_by_code():
     for n in range(4, 10):
         buckets: dict[tuple[int, ...], int] = {}
         for tree in enumerate_trees(n):
-            key = char_poly(tree.graph).coeffs
+            key = char_poly(tree.graph)
             buckets[key] = buckets.get(key, 0) + 1
         census[n] = sum(c * (c - 1) // 2 for c in buckets.values())
     assert census == {4: 0, 5: 0, 6: 0, 7: 0, 8: 1, 9: 5}
@@ -192,4 +199,4 @@ def test_spectra_edge_cases():
 def test_char_poly_matches_dense_oracle():
     for graphs in _oracle_graphs_by_order().values():
         for g in graphs:
-            assert char_poly(g).coeffs == dense_char_poly(g), g.edges
+            assert char_poly(g) == dense_char_poly(g), g.edges
