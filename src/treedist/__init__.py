@@ -30,7 +30,6 @@ from .indices import (
     randic,
     shannon_entropy,
     wiener,
-    wiener_edge_cut,
 )
 from .measures import (
     BridgeEdgeError,
@@ -59,6 +58,6 @@ from .search import (
     verify_conjecture,
     verify_conjecture_detail,
 )
-from .spectral import Spectrum, TAU_ZERO, char_poly, eigenvalues, is_cospectral, spectra
+from .spectral import Spectrum, TAU_ZERO, char_poly, eigenvalues, spectra
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Undirected simple graphs, free trees, canonical codes, and tree constructions.
 
 Vertices are dense integers ``0..n-1``.  Graphs are immutable once built;
-every edit-style operation returns a new object.  Trees carry a canonical
-code (centroid-rooted AHU encoding) that is equal exactly for isomorphic
-trees, which is what deduplication and pair reporting key on throughout the
-package.
+every edit-style operation returns a new object.  A :class:`Tree` is a
+:class:`Graph`, so every graph function takes one directly; it also carries
+a canonical code (centroid-rooted AHU encoding) that is equal exactly for
+isomorphic trees, which is what deduplication and pair reporting key on
+throughout the package.
 
 Free trees are enumerated one isomorphism class at a time by one
 composition rule: a root above a multiset of smaller rooted trees.  The
@@ -169,29 +170,18 @@ def is_connected(g: Graph) -> bool:
 
 
 @dataclass(frozen=True)
-class Tree:
-    """A connected acyclic :class:`Graph` with a lazily computed canonical code."""
-
-    graph: Graph
+class Tree(Graph):
+    """A connected acyclic :class:`Graph`, ``Tree(n, edges)``, with a lazily computed canonical code."""
 
     def __post_init__(self) -> None:
-        g = self.graph
-        if g.m != g.n - 1:
-            raise NotATreeError(f"tree on {g.n} vertices needs {g.n - 1} edges, got {g.m}")
-        if not is_connected(g):
+        if self.m != self.n - 1:
+            raise NotATreeError(f"tree on {self.n} vertices needs {self.n - 1} edges, got {self.m}")
+        if not is_connected(self):
             raise NotATreeError("graph is not connected")
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self.graph.edges
 
     @cached_property
     def code(self) -> bytes:
-        return _canonical_code(self.graph)
+        return _canonical_code(self)
 
     @property
     def code_hex(self) -> str:
@@ -319,8 +309,8 @@ def _rooted_catalog(max_size: int) -> dict[int, list[_Branch]]:
     return catalog
 
 
-def _coded_tree(graph: Graph, code: bytes) -> Tree:
-    tree = Tree(graph)
+def _coded_tree(n: int, edges: list[tuple[int, int]], code: bytes) -> Tree:
+    tree = Tree(n, tuple(sorted(edges)))
     tree.__dict__["code"] = code  # fills the cached property, as _canonical_code would
     return tree
 
@@ -338,7 +328,7 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
     catalog = _rooted_catalog(n // 2)
     branches = [b for k in range((n - 1) // 2, 0, -1) for b in catalog[k]]
     for parts in _branch_sets(branches, n - 1):
-        yield _coded_tree(Graph(n, tuple(sorted(_glue(parts)))), _node_code(b[3] for b in parts))
+        yield _coded_tree(n, _glue(parts), _node_code(b[3] for b in parts))
     if n % 2 == 0:
         halves = catalog[n // 2]
         for i, (_, edges_i, kids_i, code_i) in enumerate(halves):
@@ -347,7 +337,7 @@ def enumerate_trees(n: int) -> Iterator[Tree]:
                 edges = [*edges_i, *_glue((half_j,), n // 2)]
                 # Root at 0 or at n // 2: the half across the central edge becomes a child.
                 code = min(_node_code(kids_i + (code_j,)), _node_code(kids_j + (code_i,)))
-                yield _coded_tree(Graph(n, tuple(sorted(edges))), code)
+                yield _coded_tree(n, edges, code)
 
 
 def count_trees(n: int) -> int:
@@ -428,7 +418,8 @@ def build_caterpillar(spec: CaterpillarSpec) -> Tree:
         for u, v in spec.tail.edges:
             edges.append((offset + u, offset + v))
         nxt += spec.tail.n
-    return Tree(from_edge_list(nxt, edges))
+    g = from_edge_list(nxt, edges)
+    return Tree(g.n, g.edges)
 
 
 def attach_tree(host: Tree, at: int, sub: Tree, sub_root: int) -> Tree:
@@ -441,7 +432,8 @@ def attach_tree(host: Tree, at: int, sub: Tree, sub_root: int) -> Tree:
     edges = list(host.edges)
     edges.append((at, offset + sub_root))
     edges.extend((offset + u, offset + v) for u, v in sub.edges)
-    return Tree(from_edge_list(host.n + sub.n, edges))
+    g = from_edge_list(host.n + sub.n, edges)
+    return Tree(g.n, g.edges)
 
 
 def unit_edit_neighbors(g: Graph) -> Iterator[Graph]:

@@ -20,20 +20,15 @@ PROBABILITY_SUM_TOL = 1e-12
 def wiener(g: Graph) -> int:
     """Sum of shortest-path distances over unordered vertex pairs.
 
-    A disconnected graph raises ``DisconnectedGraphError`` from the first
+    A :class:`Tree` sums s * (n - s) over its edges, ``s`` being the vertex
+    count on one side.  Any other graph sums all-pairs BFS distances, and a
+    disconnected one raises ``DisconnectedGraphError`` from the first
     ``bfs_distances`` call.
     """
+    if isinstance(g, Tree):
+        order, _, size = _subtree_sizes(g)
+        return sum(size[v] * (g.n - size[v]) for v in order[1:])
     return sum(sum(bfs_distances(g, v)) for v in range(g.n)) // 2
-
-
-def wiener_edge_cut(t: Tree) -> int:
-    """Tree-only Wiener strategy: sum over edges of s * (n - s).
-
-    ``s`` is the vertex count on one side of the edge.  Independent of the
-    all-pairs BFS route and must agree with it exactly.
-    """
-    order, _, size = _subtree_sizes(t.graph)
-    return sum(size[v] * (t.n - size[v]) for v in order[1:])
 
 
 def randic(g: Graph) -> float:

@@ -12,10 +12,10 @@ tree pairs, equal-Randic caterpillar spine quadruples, and numerically
 equienergetic non-cospectral tree pairs.
 
 The verifier and the tree scans read their per-tree values from one table
-per order (``_index_values``), computed once per tree and index: W by the
-edge-cut strategy, R and If1 from the degrees, and E and Ig from one
-``spectra`` call.  Nothing is re-verified at run time; the tests check the
-edge-cut W against the all-pairs BFS ``wiener``.
+per order (``_index_values``), computed once per tree and index: W from
+``wiener``, which sums edge cuts on a tree, R and If1 from the degrees, and
+E and Ig from one ``spectra`` call.  Every enumerated tree is a ``Graph``,
+so each index function takes it directly.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .graph_core import (
     build_caterpillar,
     enumerate_trees,
 )
-from .indices import ifk_entropy, randic, wiener_edge_cut
+from .indices import ifk_entropy, randic, wiener
 from .spectral import Spectrum, char_poly, spectra
 
 CONJECTURE_INDEX_PAIRS = {1: ("W", "R"), 2: ("E", "Ig"), 3: ("R", "If1")}
@@ -88,10 +88,11 @@ class CollisionPair:
 
 
 # Per-tree index functions, and the indices read from the tree's spectrum.
+# Lambdas look the function up at call time, so perfbench's tracer sees each call.
 _TREE_INDICES = {
-    "W": lambda t: float(wiener_edge_cut(t)),
-    "R": lambda t: randic(t.graph),
-    "If1": lambda t: ifk_entropy(t.graph, 1),
+    "W": lambda t: float(wiener(t)),
+    "R": lambda t: randic(t),
+    "If1": lambda t: ifk_entropy(t, 1),
 }
 _SPECTRUM_INDICES = {"E": Spectrum.abs_sum, "Ig": Spectrum.entropy}
 
@@ -102,7 +103,7 @@ def _index_values(trees: list[Tree], kinds: Sequence[str]) -> dict[str, list[flo
     E and Ig are read from one ``spectra`` call over the trees, made only
     when one of them is asked for.
     """
-    specs = spectra([t.graph for t in trees]) if _SPECTRUM_INDICES.keys() & set(kinds) else []
+    specs = spectra(trees) if _SPECTRUM_INDICES.keys() & set(kinds) else []
     return {
         kind: [_TREE_INDICES[kind](t) for t in trees]
         if kind in _TREE_INDICES
@@ -177,7 +178,7 @@ def verify_conjecture(conjecture: int, n: int, float_tol: float = 1e-9) -> list[
 def find_equal_wiener_pairs(n: int) -> list[CollisionPair]:
     """All non-isomorphic tree pairs on ``n`` vertices with identical Wiener index.
 
-    Trees are grouped by their edge-cut Wiener index; each pair carries the
+    Trees are grouped by their Wiener index; each pair carries the
     gaps of the other indices, read from the order's index table.
     """
     if n < 2:
@@ -263,14 +264,14 @@ def check_wiener_preserving_attachment(
     """
     if t_a.n != t_b.n:
         raise GraphError(f"attachment bases must have equal order, got {t_a.n} and {t_b.n}")
-    if wiener_edge_cut(t_a) != wiener_edge_cut(t_b):
+    if wiener(t_a) != wiener(t_b):
         raise GraphError("attachment bases must have equal Wiener index")
-    dist_a0 = bfs_distances(t_a.graph, attach_a[0])
-    dist_b0 = bfs_distances(t_b.graph, attach_b[0])
+    dist_a0 = bfs_distances(t_a, attach_a[0])
+    dist_b0 = bfs_distances(t_b, attach_b[0])
     if sum(dist_a0) != sum(dist_b0):
         return False
-    dist_a1 = bfs_distances(t_a.graph, attach_a[1])
-    dist_b1 = bfs_distances(t_b.graph, attach_b[1])
+    dist_a1 = bfs_distances(t_a, attach_a[1])
+    dist_b1 = bfs_distances(t_b, attach_b[1])
     if sum(dist_a1) != sum(dist_b1):
         return False
     return dist_a0[attach_a[1]] == dist_b0[attach_b[1]]
@@ -431,7 +432,7 @@ def equienergetic_scan(n_min: int = 4, n_max: int = 10, energy_tol: float = 1e-8
                 pairs.append((i, order[nxt]))
                 nxt += 1
         paired = {i for pair in pairs for i in pair}
-        rows = {i: (energies[i], values["Ig"][i], char_poly(trees[i].graph)) for i in paired}
+        rows = {i: (energies[i], values["Ig"][i], char_poly(trees[i])) for i in paired}
         records.extend(_equienergetic_pair(trees[i], trees[j], rows[i], rows[j]) for i, j in pairs)
     records.sort(key=lambda p: (p.n_a, p.shared_value, p.code_a, p.code_b))
     return records

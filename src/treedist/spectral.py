@@ -196,10 +196,3 @@ def char_poly(g: Graph) -> tuple[int, ...]:
             raise ArithmeticError("Faddeev-LeVerrier division was not exact")
         coeffs[n - k] = q
     return tuple(coeffs)
-
-
-def is_cospectral(a: Graph, b: Graph) -> bool:
-    """True iff the two graphs share the exact characteristic polynomial."""
-    if a.n != b.n:
-        raise GraphError(f"cospectrality needs equal orders, got {a.n} and {b.n}")
-    return char_poly(a) == char_poly(b)

@@ -36,11 +36,13 @@ def cycle_graph(n: int) -> Graph:
 
 
 def path_tree(n: int) -> Tree:
-    return Tree(path_graph(n))
+    g = path_graph(n)
+    return Tree(g.n, g.edges)
 
 
 def star_tree(q: int) -> Tree:
-    return Tree(star_graph(q))
+    g = star_graph(q)
+    return Tree(g.n, g.edges)
 
 
 def dfs_connected(g: Graph) -> bool:

@@ -36,7 +36,6 @@ from treedist import (
     theorem1_degeneracy,
     verify_conjecture,
     wiener,
-    wiener_edge_cut,
 )
 from treedist.graph_core import Graph, _canonical_code, is_connected
 from treedist.measures import wiener_deletion_gap
@@ -177,17 +176,17 @@ def test_criterion_4_verifier_scale():
     sample = [tuple(rng.sample(range(len(trees)), 2)) for _ in range(100)]
     batch = {cid: tuple(_index_values(trees, CONJECTURE_INDEX_PAIRS[cid]).values()) for cid in (1, 2, 3)}
     recomputed = {
-        1: lambda g, t: (float(wiener_edge_cut(t)), randic(g)),
-        2: lambda g, t: (energy(g), ig_entropy(g)),
-        3: lambda g, t: (randic(g), ifk_entropy(g, 1)),
+        1: lambda t: (float(wiener(t)), randic(t)),
+        2: lambda t: (energy(t), ig_entropy(t)),
+        3: lambda t: (randic(t), ifk_entropy(t, 1)),
     }
     for i, j in sample:
-        fresh = [Tree(from_edge_list(10, trees[k].edges)) for k in (i, j)]
+        fresh = [Tree(10, trees[k].edges) for k in (i, j)]
         for cid in (1, 2, 3):
             a_vals, b_vals = batch[cid]
             gap_a = abs(a_vals[i] - a_vals[j])
             gap_b = abs(b_vals[i] - b_vals[j])
-            direct = [recomputed[cid](t.graph, t) for t in fresh]
+            direct = [recomputed[cid](t) for t in fresh]
             _check(failures, abs(gap_a - abs(direct[0][0] - direct[1][0])) <= 1e-12, f"gapA replay c{cid}")
             _check(failures, abs(gap_b - abs(direct[0][1] - direct[1][1])) <= 1e-12, f"gapB replay c{cid}")
 
@@ -264,7 +263,7 @@ def test_criterion_6_spectral_invariants():
 
     for n in range(2, 11):
         for tree in enumerate_trees(n):
-            vals = eigenvalues(tree.graph).values
+            vals = eigenvalues(tree).values
             code = tree.code_hex
             _check(failures, abs(sum(vals)) <= 1e-9, f"trace n={n} {code}")
             _check(
@@ -275,7 +274,7 @@ def test_criterion_6_spectral_invariants():
             mirrored = sorted(-v for v in vals)
             sym_err = max(abs(a - b) for a, b in zip(sorted(vals), mirrored))
             _check(failures, sym_err <= 1e-9, f"symmetry n={n} {code}")
-            coeffs = char_poly(tree.graph)
+            coeffs = char_poly(tree)
             for v in vals:
                 _check(failures, root_residual_ok(coeffs, v), f"residual n={n} {code}")
 
@@ -300,10 +299,10 @@ def test_criterion_7_bounds_suite():
                 (u, v)
                 for u in range(n)
                 for v in range(u + 1, n)
-                if not tree.graph.has_edge(u, v)
+                if not tree.has_edge(u, v)
             ]
             for chord in non_edges:
-                g = tree.graph.add_edge(*chord)
+                g = tree.add_edge(*chord)
                 for edge in g.edges:
                     if not is_connected(g.delete_edge(*edge)):
                         continue

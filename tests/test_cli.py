@@ -81,7 +81,8 @@ def test_enumerate_round_trip(capsys):
     assert payload["count"] == 3
     codes = set()
     for entry in payload["trees"]:
-        tree = Tree(from_edge_list(5, [tuple(e) for e in entry["edges"]]))
+        g = from_edge_list(5, [tuple(e) for e in entry["edges"]])
+        tree = Tree(g.n, g.edges)
         assert tree.code_hex == entry["code"]
         codes.add(entry["code"])
     assert len(codes) == 3

@@ -99,9 +99,29 @@ def test_bfs_distances_disconnected_reports_unreachable():
 
 def test_tree_rejects_cycle_and_forest():
     with pytest.raises(NotATreeError):
-        Tree(cycle_graph(4))
+        Tree(4, cycle_graph(4).edges)
     with pytest.raises(NotATreeError):
-        Tree(from_edge_list(4, [(0, 1), (2, 3)]))
+        Tree(4, from_edge_list(4, [(0, 1), (2, 3)]).edges)
+
+
+def test_tree_rejection_messages():
+    with pytest.raises(NotATreeError, match=r"^tree on 4 vertices needs 3 edges, got 4$"):
+        Tree(4, cycle_graph(4).edges)
+    with pytest.raises(NotATreeError, match=r"^graph is not connected$"):
+        Tree(4, ((0, 1), (0, 2), (1, 2)))
+
+
+def test_enumerated_trees_are_graphs():
+    for n in range(1, 11):
+        for t in enumerate_trees(n):
+            assert isinstance(t, Graph) and not hasattr(t, "graph")
+
+
+def test_tree_edits_are_plain_graphs():
+    t = path_tree(4)
+    assert type(t.delete_edge(1, 2)) is Graph
+    assert t.delete_edge(1, 2) == Graph(4, ((0, 1), (2, 3)))
+    assert type(t.add_edge(0, 3)) is Graph
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +157,7 @@ def test_triangle_and_isolated_vertex_is_not_a_tree():
     assert g.m == g.n - 1 and not larger_endpoints_cover(g)
     assert not is_connected(g)
     with pytest.raises(NotATreeError):
-        Tree(g)
+        Tree(g.n, g.edges)
 
 
 def test_path_with_uncovered_labels_is_connected():
@@ -145,7 +165,7 @@ def test_path_with_uncovered_labels_is_connected():
     g = from_edge_list(4, [(0, 3), (3, 1), (1, 2)])
     assert not larger_endpoints_cover(g)
     assert is_connected(g)
-    assert Tree(g).code == path_tree(4).code
+    assert Tree(g.n, g.edges).code == path_tree(4).code
 
 
 def test_covered_labels_with_extra_edges_is_connected():
@@ -153,7 +173,7 @@ def test_covered_labels_with_extra_edges_is_connected():
     assert larger_endpoints_cover(g)
     assert is_connected(g)
     with pytest.raises(NotATreeError):
-        Tree(g)
+        Tree(g.n, g.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +183,9 @@ def test_covered_labels_with_extra_edges_is_connected():
 
 def test_ahu_code_relabeling_invariance():
     p4 = path_tree(4)
-    other = Tree(from_edge_list(4, [(2, 0), (0, 3), (3, 1)]))
-    assert brute_force_isomorphic(p4.graph, other.graph)
+    g = from_edge_list(4, [(2, 0), (0, 3), (3, 1)])
+    other = Tree(g.n, g.edges)
+    assert brute_force_isomorphic(p4, other)
     assert p4.code == other.code
 
 
@@ -177,7 +198,8 @@ def test_ahu_code_random_relabelings():
     for tree in enumerate_trees(8):
         perm = list(range(8))
         rng.shuffle(perm)
-        assert Tree(relabel(tree.graph, perm)).code == tree.code
+        g = relabel(tree, perm)
+        assert Tree(g.n, g.edges).code == tree.code
 
 
 def test_ahu_code_complete_invariant_up_to_n7():
@@ -185,7 +207,7 @@ def test_ahu_code_complete_invariant_up_to_n7():
     for n in range(1, 8):
         trees = list(enumerate_trees(n))
         for a, b in itertools.combinations(trees, 2):
-            assert not brute_force_isomorphic(a.graph, b.graph)
+            assert not brute_force_isomorphic(a, b)
             assert a.code != b.code
         codes = {t.code for t in trees}
         assert len(codes) == len(trees)
@@ -196,7 +218,7 @@ def test_enumerated_codes_match_canonical_code():
     # centroid-rooted walk over the edges is the oracle.
     for n in range(1, 15):
         for t in enumerate_trees(n):
-            assert t.code == _canonical_code(t.graph)
+            assert t.code == _canonical_code(t)
 
 
 def test_order_16_codes_are_distinct():
@@ -259,7 +281,7 @@ def test_enumeration_emits_valid_trees_with_distinct_codes():
     for n in (6, 9, 11):
         seen = set()
         for t in enumerate_trees(n):
-            assert t.n == n and t.graph.m == n - 1
+            assert t.n == n and t.m == n - 1
             assert t.code not in seen
             seen.add(t.code)
 
@@ -292,14 +314,14 @@ def test_caterpillar_spine_degrees():
     specs += [tuple(rng.randint(2, 20) for _ in range(4)) for _ in range(200)]
     for x, y, z, t in specs:
         tree = build_caterpillar(CaterpillarSpec(x, y, z, t))
-        assert tree.graph.degrees[:4] == (x, y, z, t)
+        assert tree.degrees[:4] == (x, y, z, t)
         assert tree.n == x + y + z + t - 2
 
 
 def test_caterpillar_with_tail_degrees():
     tail = star_tree(3)
     tree = build_caterpillar(CaterpillarSpec(3, 4, 5, 6, tail=tail, tail_root=0))
-    assert tree.graph.degrees[:4] == (3, 4, 5, 6)
+    assert tree.degrees[:4] == (3, 4, 5, 6)
     assert tree.n == 4 + 2 + 2 + 3 + 4 + tail.n
 
 
@@ -317,12 +339,12 @@ def test_attach_path_to_path_end_gives_path():
 
 def test_attach_star_center_to_path_end():
     t = attach_tree(path_tree(2), 1, star_tree(3), 0)
-    assert tuple(sorted(t.graph.degrees, reverse=True)) == (4, 2, 1, 1, 1, 1)
+    assert tuple(sorted(t.degrees, reverse=True)) == (4, 2, 1, 1, 1, 1)
 
 
 def test_attach_leaf_to_path_interior():
-    t = attach_tree(path_tree(4), 1, Tree(Graph(1, ())), 0)
-    assert tuple(sorted(t.graph.degrees, reverse=True)) == (3, 2, 1, 1, 1)
+    t = attach_tree(path_tree(4), 1, Tree(1, ()), 0)
+    assert tuple(sorted(t.degrees, reverse=True)) == (3, 2, 1, 1, 1)
 
 
 def test_attach_preserves_treeness_randomized():
@@ -333,10 +355,10 @@ def test_attach_preserves_treeness_randomized():
         at, root = rng.randrange(host.n), rng.randrange(sub.n)
         joined = attach_tree(host, at, sub, root)
         assert joined.n == host.n + sub.n
-        assert joined.graph.m == joined.n - 1
-        degs_before = host.graph.degrees[at], sub.graph.degrees[root]
-        assert joined.graph.degrees[at] == degs_before[0] + 1
-        assert joined.graph.degrees[host.n + root] == degs_before[1] + 1
+        assert joined.m == joined.n - 1
+        degs_before = host.degrees[at], sub.degrees[root]
+        assert joined.degrees[at] == degs_before[0] + 1
+        assert joined.degrees[host.n + root] == degs_before[1] + 1
 
 
 def test_attach_rejects_bad_vertices():
@@ -382,8 +404,8 @@ def test_unit_edit_rejects_disconnected():
 
 def test_edge_list_round_trip():
     for tree in enumerate_trees(7):
-        back = parse_edge_list(format_edge_list(tree.graph))
-        assert Tree(back).code == tree.code
+        back = parse_edge_list(format_edge_list(tree))
+        assert Tree(back.n, back.edges).code == tree.code
 
 
 def test_parse_edge_list_errors():

@@ -14,9 +14,12 @@ from conftest import cycle_graph, path_graph, star_graph
 from treedist import (
     TAU_ZERO,
     DisconnectedGraphError,
+    Graph,
     GraphError,
     Tree,
     avg_distance,
+    bfs_distances,
+    char_poly,
     eigenvalues,
     energy,
     enumerate_trees,
@@ -25,8 +28,8 @@ from treedist import (
     ig_entropy,
     randic,
     shannon_entropy,
+    spectra,
     wiener,
-    wiener_edge_cut,
 )
 
 
@@ -60,7 +63,20 @@ def test_wiener_rejects_disconnected():
 def test_wiener_strategies_agree_on_all_trees_up_to_12():
     for n in range(2, 13):
         for tree in enumerate_trees(n):
-            assert wiener(tree.graph) == wiener_edge_cut(tree)
+            assert wiener(tree) == wiener(Graph(tree.n, tree.edges))
+
+
+def test_graph_functions_take_a_tree():
+    # A tree is a graph: each function gives on it what it gives on the same edges.
+    for n in range(2, 10):
+        trees = list(enumerate_trees(n))
+        graphs = [Graph(t.n, t.edges) for t in trees]
+        assert spectra(trees) == spectra(graphs)
+        for t, g in zip(trees, graphs):
+            assert wiener(t) == wiener(g)
+            assert randic(t) == randic(g)
+            assert char_poly(t) == char_poly(g)
+            assert bfs_distances(t, n - 1) == bfs_distances(g, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +115,7 @@ def test_energy_examples():
 def test_energy_is_twice_positive_part_on_trees():
     for n in range(2, 11):
         for tree in enumerate_trees(n):
-            spec = eigenvalues(tree.graph)
+            spec = eigenvalues(tree)
             positive = sum(v for v in spec.values if v > 0)
             assert abs(spec.abs_sum() - 2 * positive) <= 1e-9
 
@@ -124,7 +140,7 @@ def _ig_inline(g, log_base):
 
 @pytest.mark.parametrize("log_base", [math.e, 2.0], ids=["e", "2"])
 def test_ig_entropy_matches_inline_formula_bit_for_bit(log_base):
-    graphs = [t.graph for n in range(2, 10) for t in enumerate_trees(n)] + [cycle_graph(4)]
+    graphs = [t for n in range(2, 10) for t in enumerate_trees(n)] + [cycle_graph(4)]
     for g in graphs:
         expected = _ig_inline(g, log_base)
         assert ig_entropy(g, log_base) == expected
@@ -157,12 +173,12 @@ def test_ifk_entropy_depends_only_on_degree_multiset():
     trees = list(enumerate_trees(8))
     by_degrees: dict[tuple[int, ...], list[Tree]] = {}
     for t in trees:
-        by_degrees.setdefault(tuple(sorted(t.graph.degrees)), []).append(t)
+        by_degrees.setdefault(tuple(sorted(t.degrees)), []).append(t)
     groups = [g for g in by_degrees.values() if len(g) > 1]
     assert groups, "expected degree-multiset collisions at n=8"
     for group in groups:
         for k in range(1, 6):
-            values = {round(ifk_entropy(t.graph, k), 12) for t in group}
+            values = {round(ifk_entropy(t, k), 12) for t in group}
             assert len(values) == 1
     # relabeling invariance
     for t in rng.sample(trees, 5):
@@ -171,7 +187,7 @@ def test_ifk_entropy_depends_only_on_degree_multiset():
         relabeled = from_edge_list(t.n, [(perm[u], perm[v]) for u, v in t.edges])
         for k in (1, 3):
             assert ifk_entropy(relabeled, k) == pytest.approx(
-                ifk_entropy(t.graph, k), abs=1e-12
+                ifk_entropy(t, k), abs=1e-12
             )
 
 

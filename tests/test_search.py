@@ -31,7 +31,6 @@ from treedist import (
     verify_conjecture,
     verify_conjecture_detail,
     wiener,
-    wiener_edge_cut,
 )
 from treedist import search
 from treedist.graph_core import CaterpillarSpec, build_caterpillar
@@ -57,8 +56,8 @@ def _tree_by_code(n: int, code_hex: str) -> Tree:
 
 def test_conjecture1_n4_no_violation():
     trees = list(enumerate_trees(4))
-    w = sorted(wiener(t.graph) for t in trees)
-    r = sorted(randic(t.graph) for t in trees)
+    w = sorted(wiener(t) for t in trees)
+    r = sorted(randic(t) for t in trees)
     assert w == [9, 10]
     assert abs(r[1] - r[0]) == pytest.approx(0.5 + math.sqrt(2) - math.sqrt(3), abs=1e-12)
     assert verify_conjecture(1, 4) == []
@@ -66,8 +65,8 @@ def test_conjecture1_n4_no_violation():
 
 def test_conjecture3_n4_no_violation():
     trees = list(enumerate_trees(4))
-    r = [randic(t.graph) for t in trees]
-    f = [ifk_entropy(t.graph, 1) for t in trees]
+    r = [randic(t) for t in trees]
+    f = [ifk_entropy(t, 1) for t in trees]
     assert abs(r[0] - r[1]) > abs(f[0] - f[1])
     assert verify_conjecture(3, 4) == []
 
@@ -100,14 +99,14 @@ def test_violation_records_replay():
             ta = _tree_by_code(n, v.code_a)
             tb = _tree_by_code(n, v.code_b)
             if conjecture == 1:
-                ga = abs(wiener(ta.graph) - wiener(tb.graph))
-                gb = abs(randic(ta.graph) - randic(tb.graph))
+                ga = abs(wiener(ta) - wiener(tb))
+                gb = abs(randic(ta) - randic(tb))
             elif conjecture == 2:
-                ga = abs(energy(ta.graph) - energy(tb.graph))
-                gb = abs(ig_entropy(ta.graph) - ig_entropy(tb.graph))
+                ga = abs(energy(ta) - energy(tb))
+                gb = abs(ig_entropy(ta) - ig_entropy(tb))
             else:
-                ga = abs(randic(ta.graph) - randic(tb.graph))
-                gb = abs(ifk_entropy(ta.graph, 1) - ifk_entropy(tb.graph, 1))
+                ga = abs(randic(ta) - randic(tb))
+                gb = abs(ifk_entropy(ta, 1) - ifk_entropy(tb, 1))
             assert abs((gb - ga) - v.margin) <= 1e-12
 
 
@@ -199,7 +198,7 @@ def test_equal_wiener_pairs_absent_below_7():
 
 
 def test_equal_wiener_n5_values():
-    values = sorted(wiener(t.graph) for t in enumerate_trees(5))
+    values = sorted(wiener(t) for t in enumerate_trees(5))
     assert values == [16, 18, 20]
 
 
@@ -209,10 +208,11 @@ def test_smallest_equal_wiener_order_is_7():
     assert sorted(p.shared_value for p in pairs) == [46.0, 48.0]
     for p in pairs:
         assert p.code_a != p.code_b
-        ta = Tree(from_edge_list(p.n_a, p.edges_a))
-        tb = Tree(from_edge_list(p.n_b, p.edges_b))
-        assert wiener(ta.graph) == wiener(tb.graph) == p.shared_value
-        assert wiener_edge_cut(ta) == wiener_edge_cut(tb) == p.shared_value
+        ga = from_edge_list(p.n_a, p.edges_a)
+        gb = from_edge_list(p.n_b, p.edges_b)
+        ta, tb = Tree(ga.n, ga.edges), Tree(gb.n, gb.edges)
+        assert wiener(ga) == wiener(gb) == p.shared_value
+        assert wiener(ta) == wiener(tb) == p.shared_value
         assert dict(p.secondary_gaps)["R"] > 1e-6
 
 
@@ -251,7 +251,8 @@ def test_attachment_check_crossed_p4_points():
 
 def test_attachment_check_requires_equal_wiener():
     with pytest.raises(GraphError):
-        check_wiener_preserving_attachment(path_tree(5), Tree(from_edge_list(5, [(0, 1), (0, 2), (0, 3), (0, 4)])), (0, 1), (0, 1))
+        star = from_edge_list(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        check_wiener_preserving_attachment(path_tree(5), Tree(star.n, star.edges), (0, 1), (0, 1))
 
 
 def test_attachment_invariance_on_discovered_pair():
@@ -259,8 +260,9 @@ def test_attachment_invariance_on_discovered_pair():
     # (S, R) pairs off both trees must keep the Wiener indices equal.
     n, pairs = smallest_equal_wiener_order()
     pair = next(p for p in pairs if p.shared_value == 46.0)
-    ta = Tree(from_edge_list(pair.n_a, pair.edges_a))
-    tb = Tree(from_edge_list(pair.n_b, pair.edges_b))
+    ga = from_edge_list(pair.n_a, pair.edges_a)
+    gb = from_edge_list(pair.n_b, pair.edges_b)
+    ta, tb = Tree(ga.n, ga.edges), Tree(gb.n, gb.edges)
     attach_a, attach_b = (0, 1), (0, 1)
     assert check_wiener_preserving_attachment(ta, tb, attach_a, attach_b)
     rng = random.Random(13)
@@ -270,7 +272,7 @@ def test_attachment_invariance_on_discovered_pair():
         s_root, r_root = rng.randrange(s.n), rng.randrange(r.n)
         grown_a = attach_tree(attach_tree(ta, attach_a[0], s, s_root), attach_a[1], r, r_root)
         grown_b = attach_tree(attach_tree(tb, attach_b[0], s, s_root), attach_b[1], r, r_root)
-        assert wiener(grown_a.graph) == wiener(grown_b.graph)
+        assert wiener(grown_a) == wiener(grown_b)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +348,8 @@ def test_r_core_difference_matches_built_trees():
     quad_pairs = [((9, 4, 9, 4), (4, 16, 4, 4)), ((4, 4, 4, 4), (9, 4, 9, 4))]
     for qa, qb in quad_pairs:
         for use_tail in (None, tail):
-            ra = randic(build_caterpillar(CaterpillarSpec(*qa, tail=use_tail)).graph)
-            rb = randic(build_caterpillar(CaterpillarSpec(*qb, tail=use_tail)).graph)
+            ra = randic(build_caterpillar(CaterpillarSpec(*qa, tail=use_tail)))
+            rb = randic(build_caterpillar(CaterpillarSpec(*qb, tail=use_tail)))
             core_diff = caterpillar_r_core(*qa) - caterpillar_r_core(*qb)
             assert (ra - rb) == pytest.approx(core_diff, abs=1e-12)
 

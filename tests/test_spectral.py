@@ -16,7 +16,7 @@ from conftest import (
     scalar_jacobi_eigenvalues,
     star_graph,
 )
-from treedist import GraphError, char_poly, eigenvalues, enumerate_trees, is_cospectral, spectra
+from treedist import GraphError, char_poly, eigenvalues, enumerate_trees, spectra
 from treedist import spectral
 from treedist.graph_core import from_edge_list
 
@@ -42,10 +42,10 @@ def test_eigenvalues_accuracy_against_exact_roots():
     # Oracle: exact real roots of the integer char poly, evaluated to 30 digits.
     lam = sympy.symbols("lam")
     for tree in enumerate_trees(8):
-        coeffs = char_poly(tree.graph)
+        coeffs = char_poly(tree)
         poly = sympy.Poly(sum(int(c) * lam**i for i, c in enumerate(coeffs)), lam)
         exact = sorted((float(r.evalf(30)) for r in sympy.real_roots(poly)), reverse=True)
-        computed = eigenvalues(tree.graph).values
+        computed = eigenvalues(tree).values
         assert max(abs(a - b) for a, b in zip(exact, computed)) <= 1e-10
 
 
@@ -89,7 +89,7 @@ def test_char_poly_stars_closed_form():
 def test_char_poly_structural_coefficients():
     for n in range(2, 9):
         for tree in enumerate_trees(n):
-            coeffs = char_poly(tree.graph)
+            coeffs = char_poly(tree)
             assert coeffs[n] == 1
             assert coeffs[n - 1] == 0
             assert coeffs[n - 2] == -(n - 1)
@@ -98,7 +98,7 @@ def test_char_poly_structural_coefficients():
 def test_spectrum_invariants_trees_up_to_10():
     for n in range(2, 11):
         for tree in enumerate_trees(n):
-            spec = eigenvalues(tree.graph)
+            spec = eigenvalues(tree)
             vals = spec.values
             assert abs(sum(vals)) <= 1e-9
             assert abs(sum(v * v for v in vals) - 2 * (n - 1)) <= 1e-9
@@ -109,25 +109,20 @@ def test_spectrum_invariants_trees_up_to_10():
 def test_eigenvalues_are_char_poly_roots():
     for n in range(2, 11):
         for tree in enumerate_trees(n):
-            coeffs = char_poly(tree.graph)
-            for v in eigenvalues(tree.graph).values:
+            coeffs = char_poly(tree)
+            for v in eigenvalues(tree).values:
                 assert root_residual_ok(coeffs, v)
 
 
-def test_is_cospectral_isomorphic_relabeling():
+def test_cospectral_isomorphic_relabeling():
     p4 = path_graph(4)
     other = from_edge_list(4, [(2, 0), (0, 3), (3, 1)])
-    assert is_cospectral(p4, other)
+    assert char_poly(p4) == char_poly(other)
 
 
-def test_is_cospectral_rejects_distinct_trees():
-    assert not is_cospectral(path_graph(4), star_graph(3))
-    assert not is_cospectral(path_graph(5), star_graph(4))
-
-
-def test_is_cospectral_order_mismatch():
-    with pytest.raises(GraphError):
-        is_cospectral(path_graph(4), path_graph(5))
+def test_cospectral_rejects_distinct_trees():
+    assert char_poly(path_graph(4)) != char_poly(star_graph(3))
+    assert char_poly(path_graph(5)) != char_poly(star_graph(4))
 
 
 def test_isomorphic_enumerated_trees_cospectral_by_code():
@@ -139,7 +134,7 @@ def test_isomorphic_enumerated_trees_cospectral_by_code():
     for n in range(4, 10):
         buckets: dict[tuple[int, ...], int] = {}
         for tree in enumerate_trees(n):
-            key = char_poly(tree.graph)
+            key = char_poly(tree)
             buckets[key] = buckets.get(key, 0) + 1
         census[n] = sum(c * (c - 1) // 2 for c in buckets.values())
     assert census == {4: 0, 5: 0, 6: 0, 7: 0, 8: 1, 9: 5}
@@ -147,7 +142,7 @@ def test_isomorphic_enumerated_trees_cospectral_by_code():
 
 def _oracle_graphs_by_order():
     """Every tree on 2..11 vertices, plus C4, K4 and a forest with an isolated vertex."""
-    graphs = {n: [t.graph for t in enumerate_trees(n)] for n in range(2, 12)}
+    graphs = {n: [t for t in enumerate_trees(n)] for n in range(2, 12)}
     graphs[4] += [cycle_graph(4), from_edge_list(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])]
     graphs[5].append(from_edge_list(5, [(0, 1), (1, 2), (1, 3)]))
     return graphs
@@ -167,7 +162,7 @@ def test_spectra_match_scalar_jacobi_bit_for_bit():
 
 def test_eigenvalues_is_a_stack_of_one():
     for n in range(1, 10):
-        graphs = [t.graph for t in enumerate_trees(n)]
+        graphs = [t for t in enumerate_trees(n)]
         assert [_bits(eigenvalues(g).values) for g in graphs] == [_bits(s.values) for s in spectra(graphs)]
 
 
@@ -181,7 +176,7 @@ def test_eigenvalues_of_edgeless_graphs_are_positive_zeros():
 
 
 def test_spectra_blocks_do_not_change_bits(monkeypatch):
-    graphs = [t.graph for t in enumerate_trees(9)]
+    graphs = [t for t in enumerate_trees(9)]
     whole = [_bits(s.values) for s in spectra(graphs)]
     # Blocks of 5 matrices: 47 trees make ten blocks, the last one short.
     monkeypatch.setattr(spectral, "STACK_BYTES", 5 * 8 * 9 * 9)
