@@ -407,9 +407,10 @@ def equienergetic_scan(n_min: int = 4, n_max: int = 10, energy_tol: float = 1e-8
     """Tree pairs with numerically equal energy, flagged cospectral or not.
 
     For each order in n_min..n_max, trees are sorted by the E column of the
-    order's index table and neighbours within energy_tol are paired.  Every pair carries its energy gap, an exact cospectrality flag
-    (equal characteristic polynomials, expanded once per tree that is in a
-    pair), and the spectral entropy gap.  Non-cospectral pairs with a
+    order's index table and neighbours within energy_tol are paired.  Every
+    pair carries its energy gap, an exact cospectrality flag (equal
+    characteristic polynomials, expanded once per tree that is in a pair),
+    and the spectral entropy gap.  Non-cospectral pairs with a
     decisive entropy gap are marked as candidate refutations of the
     energy-entropy conjecture (Ig gap above ``CANDIDATE_IG_GAP``).
     """

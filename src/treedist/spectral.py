@@ -9,10 +9,11 @@ overhead is paid per step rather than per graph.  Each matrix still gets
 exactly the float operations it would get alone, so a spectrum does not
 depend on the stack it was solved in, and ``eigenvalues`` is a stack of one.
 
-Characteristic polynomials are computed over exact arbitrary-precision
-integers (Faddeev-LeVerrier with neighbour-list products), which makes
-cospectrality a decidable exact comparison rather than a floating-point
-judgement call.
+Characteristic polynomials are exact integers, so cospectrality is a
+decidable comparison rather than a floating-point judgement call.  A
+:class:`Tree` takes the matching polynomial, equal to it on forests
+(Godsil and Gutman, "On the theory of the matching polynomial", J. Graph
+Theory 5 (1981)); any other graph takes Faddeev-LeVerrier.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import Graph, GraphError
+from .graph_core import Graph, GraphError, Tree, _dfs_order
 
 # Eigenvalues with |lambda| at or below this are treated as zero downstream
 # (spectral entropy excludes them).  Sits well below the smallest non-zero
@@ -167,15 +168,19 @@ def char_poly(g: Graph) -> tuple[int, ...]:
     Coefficients by ascending power: entry i multiplies ``lambda**i``, and
     the last (leading) entry is 1.
 
-    Faddeev-LeVerrier over Python integers: M_k = A M_{k-1} + c_{n-k+1} I
-    and c_{n-k} = -tr(A M_k) / k.  Row i of A M is the sum of the rows of M
-    at the neighbours of i, so each step costs O(m n) additions, not the
-    O(n^3) of a dense product.  The division by k is exact for integer
-    matrices, asserted rather than assumed.
+    A :class:`Tree` takes the matching-polynomial recurrence of Godsil and
+    Gutman (1981), a few integer products per edge.  Any other graph takes
+    Faddeev-LeVerrier over Python integers: M_k = A M_{k-1} + c_{n-k+1} I and
+    c_{n-k} = -tr(A M_k) / k.  Row i of A M is the sum of the rows of M at
+    the neighbours of i, so each step costs O(m n) additions, not the O(n^3)
+    of a dense product.  The division by k is exact for integer matrices,
+    asserted rather than assumed.
     """
     n = g.n
     if n < 1:
         raise GraphError("characteristic polynomial of the empty graph is undefined")
+    if isinstance(g, Tree):
+        return _tree_char_poly(g)
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.edges:
         nbrs[u].append(v)
@@ -195,4 +200,30 @@ def char_poly(g: Graph) -> tuple[int, ...]:
         if r:
             raise ArithmeticError("Faddeev-LeVerrier division was not exact")
         coeffs[n - k] = q
+    return tuple(coeffs)
+
+
+def _tree_char_poly(t: Tree) -> tuple[int, ...]:
+    """phi(T, x) = Sum_k (-1)^k m_k x^(n-2k), m_k the number of k-edge matchings.
+
+    Rooted at 0, vertex v holds F_v and M_v, the matchings of its subtree by
+    size with v unmatched and matched, as polynomials in y.  Child c folds
+    into v as M_v <- M_v S + y F_v F_c, then F_v <- F_v S, with S = F_c + M_c.
+    Each polynomial is one integer in base 2^n, so a product is one integer
+    product and y is a shift by n bits.  No coefficient carries into the
+    next: each counts matchings of a forest with under n edges, so it is at
+    most 2^(n-1).
+    """
+    n = t.n
+    order, parent = _dfs_order(t, 0)
+    free, matched = [1] * n, [0] * n
+    for c in reversed(order[1:]):
+        v = parent[c]
+        s = free[c] + matched[c]
+        matched[v] = matched[v] * s + (free[v] * free[c] << n)
+        free[v] *= s
+    total, mask = free[0] + matched[0], (1 << n) - 1
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        coeffs[n - 2 * k] = (-1) ** k * ((total >> (k * n)) & mask)
     return tuple(coeffs)

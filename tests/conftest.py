@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from itertools import permutations
 from typing import Iterator
@@ -83,6 +84,25 @@ def rooted_level_sequences(k: int) -> Iterator[tuple[int, ...]]:
             q -= 1
         for i in range(p, k):
             seq[i] = seq[i - (p - q)]
+
+
+def prufer_decode(seq: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
+    """Sorted edges of the labelled tree on ``n >= 2`` vertices with Pruefer sequence ``seq``."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v) if leaf < v else (v, leaf))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u, w = heapq.heappop(leaves), heapq.heappop(leaves)
+    edges.append((u, w) if u < w else (w, u))
+    return tuple(sorted(edges))
 
 
 def brute_force_isomorphic(a: Graph, b: Graph) -> bool:

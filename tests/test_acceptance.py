@@ -6,7 +6,6 @@ line per criterion is echoed at the end of the session.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
@@ -16,7 +15,7 @@ from fractions import Fraction
 import sympy
 
 import conftest
-from conftest import path_graph, root_residual_ok, star_graph
+from conftest import path_graph, prufer_decode, root_residual_ok, star_graph
 from treedist import (
     Tree,
     caterpillar_r_core_exact,
@@ -200,24 +199,6 @@ def test_criterion_4_verifier_scale():
 # ---------------------------------------------------------------------------
 
 
-def _prufer_decode(seq: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v) if leaf < v else (v, leaf))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u, w = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((u, w) if u < w else (w, u))
-    return tuple(sorted(edges))
-
-
 def test_criterion_5_enumeration():
     failures: list[str] = []
     started = time.perf_counter()
@@ -231,7 +212,7 @@ def test_criterion_5_enumeration():
     for n in range(2, 9):
         classes = set()
         for seq in itertools.product(range(n), repeat=n - 2):
-            classes.add(_canonical_code(Graph(n, _prufer_decode(seq, n))))
+            classes.add(_canonical_code(Graph(n, prufer_decode(seq, n))))
         _check(
             failures,
             len(classes) == FREE_TREE_COUNTS[n - 1],

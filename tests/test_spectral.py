@@ -3,22 +3,29 @@
 from __future__ import annotations
 
 import math
+import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cycle_graph,
     dense_char_poly,
     path_graph,
+    path_tree,
+    prufer_decode,
     root_residual_ok,
     scalar_jacobi_eigenvalues,
     star_graph,
+    star_tree,
 )
-from treedist import GraphError, char_poly, eigenvalues, enumerate_trees, spectra
+from treedist import Graph, GraphError, Tree, char_poly, eigenvalues, enumerate_trees, spectra
 from treedist import spectral
-from treedist.graph_core import from_edge_list
+from treedist.graph_core import centroids, from_edge_list
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -191,7 +198,88 @@ def test_spectra_edge_cases():
         spectra([from_edge_list(0, [])])
 
 
+def _faddeev_leverrier_graphs() -> list[Graph]:
+    """Graphs that are not ``Tree`` objects, so ``char_poly`` takes Faddeev-LeVerrier.
+
+    C3..C10, K2..K6, every tree on 3..7 vertices plus each missing edge
+    (unicyclic), and the forest P3 + P4.
+    """
+    graphs = [cycle_graph(n) for n in range(3, 11)]
+    graphs += [from_edge_list(n, combinations(range(n), 2)) for n in range(2, 7)]
+    for n in range(3, 8):
+        for t in enumerate_trees(n):
+            graphs += [t.add_edge(u, v) for u, v in combinations(range(n), 2) if not t.has_edge(u, v)]
+    graphs.append(from_edge_list(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]))
+    return graphs
+
+
 def test_char_poly_matches_dense_oracle():
+    # Trees take the matching recurrence; every other graph takes Faddeev-LeVerrier.
     for graphs in _oracle_graphs_by_order().values():
         for g in graphs:
             assert char_poly(g) == dense_char_poly(g), g.edges
+    for g in _faddeev_leverrier_graphs():
+        assert not isinstance(g, Tree)
+        assert char_poly(g) == dense_char_poly(g), (g.n, g.edges)
+
+
+def _as_graph(t: Tree) -> Graph:
+    """The same edges as a plain ``Graph``, whose ``char_poly`` is Faddeev-LeVerrier."""
+    return Graph(t.n, t.edges)
+
+
+def test_tree_char_poly_matches_faddeev_leverrier():
+    for n in range(1, 13):
+        for t in enumerate_trees(n):
+            assert char_poly(t) == char_poly(_as_graph(t)), t.edges
+    for t in random.Random(16).sample(list(enumerate_trees(16)), 200):
+        assert char_poly(t) == char_poly(_as_graph(t)), t.edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=24).flatmap(
+        lambda n: st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n - 2, max_size=n - 2)
+    )
+)
+def test_tree_char_poly_matches_faddeev_leverrier_on_prufer_trees(seq):
+    # Labelled trees: the recurrence roots at vertex 0, wherever 0 sits in the tree.
+    t = Tree(len(seq) + 2, prufer_decode(tuple(seq), len(seq) + 2))
+    assert char_poly(t) == char_poly(_as_graph(t))
+
+
+def _double_star(a: int, b: int) -> Tree:
+    """Adjacent centres 0 and 1 with ``a`` and ``b`` leaves."""
+    edges = [(0, 1)] + [(0, 2 + i) for i in range(a)] + [(1, 2 + a + i) for i in range(b)]
+    return Tree(a + b + 2, tuple(sorted(edges)))
+
+
+# Two different rooted halves of 8 vertices, roots 0 and 8, joined by an edge:
+# a spider with legs 3, 2, 2 and a broom (path 8-9-10 ending in five leaves).
+_SPIDER = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (0, 6), (6, 7)]
+_BROOM = [(8, 9), (9, 10)] + [(10, v) for v in range(11, 16)]
+_BICENTROIDAL = Tree(16, tuple(sorted(_SPIDER + [(0, 8)] + _BROOM)))
+
+
+def _sympy_char_poly(g: Graph) -> tuple[int, ...]:
+    a = sympy.zeros(g.n, g.n)
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1
+    return tuple(int(c) for c in reversed(a.charpoly().all_coeffs()))
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [path_tree(16), star_tree(15), _double_star(6, 8), _BICENTROIDAL],
+    ids=["P16", "K1,15", "double-star-6-8", "bicentroidal-16"],
+)
+def test_tree_char_poly_matches_sympy(tree):
+    assert char_poly(tree) == _sympy_char_poly(tree)
+
+
+def test_bicentroidal_named_tree_has_two_centroids():
+    assert centroids(_BICENTROIDAL) == (0, 8)
+
+
+def test_char_poly_single_vertex_tree():
+    assert char_poly(Tree(1, ())) == (0, 1)
