@@ -79,9 +79,13 @@ FORMATS = ("json", "csv")
 # before verify's records were written through a template.  The order-14
 # enumeration (3,159 trees) pins the canonical code and the edge order of
 # every tree; it was recorded before enumerated trees took their codes from
-# the rooted-tree catalog.
+# the rooted-tree catalog.  The all-integer caterpillar scan to 50 (23
+# pairs over 120,050 quadruples) pins which near-equal spine quadruples are
+# paired and their record order; it was recorded before the three
+# collision scans shared one pairing window.
 DIGEST_CASES = {
     "enumerate-14": ["enumerate", "--n", "14"],
+    "scan-caterpillar-all-50": ["scan", "caterpillar", "--all-integers", "--limit", "50"],
     "scan-equienergetic-4-12": ["scan", "equienergetic", "--n-min", "4", "--n-max", "12"],
     "scan-equal-wiener-12": ["scan", "equal-wiener", "--n", "12"],
     "verify-c1-11-12": ["verify", "--conjecture", "1", "--n", "11", "--n-max", "12"],
@@ -130,6 +134,10 @@ def test_equienergetic_tie_order_digest():
 
 def test_equal_wiener_digest():
     _check_digest("scan-equal-wiener-12")
+
+
+def test_caterpillar_pairing_digest():
+    _check_digest("scan-caterpillar-all-50")
 
 
 def test_enumerate_digest():
