@@ -23,6 +23,9 @@ _EXP_CLAMP = 700.0
 # Leading coefficient (sqrt(2) - 1) / 6 of the cubic Wiener-gap bound.
 WIENER_GAP_COEFF = (math.sqrt(2.0) - 1.0) / 6.0
 
+# Orders up to the cube root of the largest float keep the term c n^3 finite.
+MAX_THEOREM3_ORDER = int(math.nextafter(math.inf, 0.0) ** (1 / 3))
+
 
 @dataclass(frozen=True)
 class DistanceResult:
@@ -129,6 +132,8 @@ def theorem3_bound(n: int, sigma: float) -> float:
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
+    if n > MAX_THEOREM3_ORDER:
+        raise ValueError(f"order must be <= {MAX_THEOREM3_ORDER}, got {n}")
     _check_sigma(sigma)
     return d_index(WIENER_GAP_COEFF * n**3, 0.0, sigma).distance
 

@@ -16,6 +16,9 @@ per order (``_index_values``), computed once per tree and index: W from
 ``wiener``, which sums edge cuts on a tree, R and If1 from the degrees, and
 E and Ig from one ``spectra`` call.  Every enumerated tree is a ``Graph``,
 so each index function takes it directly.
+
+All three scans pair through one sort-and-window sweep (``_near_pairs``)
+over the key they collide on, and build their records with ``_tree_pair``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -95,6 +98,36 @@ _TREE_INDICES = {
     "If1": lambda t: ifk_entropy(t, 1),
 }
 _SPECTRUM_INDICES = {"E": Spectrum.abs_sum, "Ig": Spectrum.entropy}
+
+
+def _near_pairs(keys: Sequence[float], tol: float) -> Iterator[tuple[int, int]]:
+    """Every unordered index pair whose keys differ by at most ``tol``, once each.
+
+    The indices are sorted by key, and each is paired with the run of later
+    indices that stay within ``tol`` of it.  Tied keys may come in any
+    order: the set of pairs is the same, and each scan sorts its records.
+    """
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for pos, i in enumerate(order):
+        nxt = pos + 1
+        while nxt < len(order) and keys[order[nxt]] - keys[i] <= tol:
+            yield i, order[nxt]
+            nxt += 1
+
+
+def _tree_pair(kind: str, tree_a: Tree, tree_b: Tree, shared_value: float, **fields) -> CollisionPair:
+    """The collision record of two trees, in the order given, with the kind's own ``fields``."""
+    return CollisionPair(
+        kind=kind,
+        code_a=tree_a.code_hex,
+        code_b=tree_b.code_hex,
+        edges_a=tree_a.edges,
+        edges_b=tree_b.edges,
+        n_a=tree_a.n,
+        n_b=tree_b.n,
+        shared_value=shared_value,
+        **fields,
+    )
 
 
 def _index_values(trees: list[Tree], kinds: Sequence[str]) -> dict[str, list[float]]:
@@ -178,39 +211,19 @@ def verify_conjecture(conjecture: int, n: int, float_tol: float = 1e-9) -> list[
 def find_equal_wiener_pairs(n: int) -> list[CollisionPair]:
     """All non-isomorphic tree pairs on ``n`` vertices with identical Wiener index.
 
-    Trees are grouped by their Wiener index; each pair carries the
-    gaps of the other indices, read from the order's index table.
+    Each pair carries the gaps of the other indices, read from the
+    order's index table.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     trees = list(enumerate_trees(n))
     secondary = ("R", "E", "Ig", "If1")
     values = _index_values(trees, ("W",) + secondary)
-    by_wiener: dict[float, list[int]] = {}
-    for idx, w in enumerate(values["W"]):
-        by_wiener.setdefault(w, []).append(idx)
-    groups = [(w, members) for w, members in sorted(by_wiener.items()) if len(members) > 1]
     pairs: list[CollisionPair] = []
-    for w, members in groups:
-        for ii in range(len(members)):
-            for jj in range(ii + 1, len(members)):
-                a, b = members[ii], members[jj]
-                if trees[a].code_hex > trees[b].code_hex:
-                    a, b = b, a
-                gaps = tuple((kind, abs(values[kind][a] - values[kind][b])) for kind in secondary)
-                pairs.append(
-                    CollisionPair(
-                        kind="wiener",
-                        code_a=trees[a].code_hex,
-                        code_b=trees[b].code_hex,
-                        edges_a=trees[a].edges,
-                        edges_b=trees[b].edges,
-                        n_a=n,
-                        n_b=n,
-                        shared_value=w,
-                        secondary_gaps=gaps,
-                    )
-                )
+    for pair in _near_pairs(values["W"], 0.0):
+        a, b = sorted(pair, key=lambda i: trees[i].code_hex)
+        gaps = tuple((kind, abs(values[kind][a] - values[kind][b])) for kind in secondary)
+        pairs.append(_tree_pair("wiener", trees[a], trees[b], values["W"][a], secondary_gaps=gaps))
     pairs.sort(key=lambda p: (p.shared_value, p.code_a, p.code_b))
     return pairs
 
@@ -320,10 +333,9 @@ def _spine_if1_weight(quad: tuple[int, int, int, int]) -> float:
     return sum(d * math.log(d) for d in quad)
 
 
-def _scan_values(limit: int, minimum: int, squares_only: bool) -> list[int]:
-    if squares_only:
-        return [k * k for k in range(1, math.isqrt(limit) + 1) if k * k >= minimum]
-    return list(range(minimum, limit + 1))
+# The most spine quadruples one caterpillar scan may build: m candidate
+# degrees give m * (m - 1)^2, 980,100 for the all-integer scan to 100.
+MAX_SPINE_QUADS = 2**20
 
 
 def caterpillar_scan(
@@ -340,27 +352,28 @@ def caterpillar_scan(
     float_tol are kept, isomorphic duplicates (reversed spines) are dropped
     via canonical codes, and all-square pairs are re-checked in exact
     rational arithmetic.  With equal_order_only, only pairs with equal
-    vertex counts are kept.
+    vertex counts are kept.  A fixed_t above scan_limit, or more than
+    ``MAX_SPINE_QUADS`` quadruples, is refused before any is built.
     """
     _check_tol("float_tol", float_tol)
     if scan_limit < 1:
         raise ValueError(f"scan_limit must be >= 1, got {scan_limit}")
     if fixed_t < 2:
         raise ValueError(f"fixed_t must be >= 2, got {fixed_t}")
-    xs = _scan_values(scan_limit, 1, perfect_squares_only)
-    yzs = _scan_values(scan_limit, 2, perfect_squares_only)
+    if fixed_t > scan_limit:
+        raise ValueError(f"fixed_t must be <= scan_limit {scan_limit}, got {fixed_t}")
+    count = math.isqrt(scan_limit) if perfect_squares_only else scan_limit
+    if count * (count - 1) ** 2 > MAX_SPINE_QUADS:
+        max_count = next(m for m in range(2, MAX_SPINE_QUADS) if (m + 1) * m * m > MAX_SPINE_QUADS)
+        largest = (max_count + 1) ** 2 - 1 if perfect_squares_only else max_count
+        raise ValueError(f"scan_limit must be <= {largest}, got {scan_limit}")
+    # The candidate degrees in increasing order; only the first, 1, is too small for y and z.
+    xs = [k * k for k in range(1, count + 1)] if perfect_squares_only else range(1, count + 1)
+    yzs = xs[1:]
     quads = [(x, y, z, fixed_t) for x in xs for y in yzs for z in yzs]
-    scored = sorted(zip((caterpillar_r_core(*q) for q in quads), quads))
-    records: list[CollisionPair] = []
-    for i in range(len(scored)):
-        r_i, quad_i = scored[i]
-        j = i + 1
-        while j < len(scored) and scored[j][0] - r_i <= float_tol:
-            quad_j = scored[j][1]
-            j += 1
-            record = _caterpillar_pair(quad_i, quad_j, equal_order_only)
-            if record is not None:
-                records.append(record)
+    near = _near_pairs([caterpillar_r_core(*q) for q in quads], float_tol)
+    pairs = (_caterpillar_pair(quads[i], quads[j], equal_order_only) for i, j in near)
+    records = [p for p in pairs if p is not None]
     records.sort(key=lambda p: (p.label_a or "", p.label_b or ""))
     return records
 
@@ -368,29 +381,23 @@ def caterpillar_scan(
 def _caterpillar_pair(
     quad_a: tuple[int, int, int, int], quad_b: tuple[int, int, int, int], equal_order_only: bool
 ) -> CollisionPair | None:
-    if quad_a > quad_b:
-        quad_a, quad_b = quad_b, quad_a
+    quad_a, quad_b = sorted((quad_a, quad_b))
     if equal_order_only and sum(quad_a) != sum(quad_b):
         return None
     tree_a = build_caterpillar(CaterpillarSpec(*quad_a))
     tree_b = build_caterpillar(CaterpillarSpec(*quad_b))
     if tree_a.code == tree_b.code:
         return None
-    exact: bool | None = None
     try:
         exact = caterpillar_r_core_exact(*quad_a) == caterpillar_r_core_exact(*quad_b)
     except ValueError:
         exact = None
     spine_gap = abs(_spine_if1_weight(quad_a) - _spine_if1_weight(quad_b))
-    return CollisionPair(
-        kind="randic",
-        code_a=tree_a.code_hex,
-        code_b=tree_b.code_hex,
-        edges_a=tree_a.edges,
-        edges_b=tree_b.edges,
-        n_a=tree_a.n,
-        n_b=tree_b.n,
-        shared_value=caterpillar_r_core(*quad_a),
+    return _tree_pair(
+        "randic",
+        tree_a,
+        tree_b,
+        caterpillar_r_core(*quad_a),
         secondary_gaps=(("If1_spine", spine_gap),),
         exact=exact,
         label_a="C{}".format(quad_a),
@@ -406,9 +413,9 @@ def _caterpillar_pair(
 def equienergetic_scan(n_min: int = 4, n_max: int = 10, energy_tol: float = 1e-8) -> list[CollisionPair]:
     """Tree pairs with numerically equal energy, flagged cospectral or not.
 
-    For each order in n_min..n_max, trees are sorted by the E column of the
-    order's index table and neighbours within energy_tol are paired.  Every
-    pair carries its energy gap, an exact cospectrality flag (equal
+    For each order in n_min..n_max, trees whose values in the E column of
+    the order's index table lie within energy_tol are paired.  Every pair
+    carries its energy gap, an exact cospectrality flag (equal
     characteristic polynomials, expanded once per tree that is in a pair),
     and the spectral entropy gap.  Non-cospectral pairs with a
     decisive entropy gap are marked as candidate refutations of the
@@ -423,17 +430,9 @@ def equienergetic_scan(n_min: int = 4, n_max: int = 10, energy_tol: float = 1e-8
     for n in range(n_min, n_max + 1):
         trees = list(enumerate_trees(n))
         values = _index_values(trees, ("E", "Ig"))
-        energies = values["E"]
-        order = sorted(range(len(trees)), key=lambda i: (energies[i], trees[i].code_hex))
-        pairs = []
-        for pos in range(len(order)):
-            i = order[pos]
-            nxt = pos + 1
-            while nxt < len(order) and energies[order[nxt]] - energies[i] <= energy_tol:
-                pairs.append((i, order[nxt]))
-                nxt += 1
+        pairs = list(_near_pairs(values["E"], energy_tol))
         paired = {i for pair in pairs for i in pair}
-        rows = {i: (energies[i], values["Ig"][i], char_poly(trees[i])) for i in paired}
+        rows = {i: (values["E"][i], values["Ig"][i], char_poly(trees[i])) for i in paired}
         records.extend(_equienergetic_pair(trees[i], trees[j], rows[i], rows[j]) for i, j in pairs)
     records.sort(key=lambda p: (p.n_a, p.shared_value, p.code_a, p.code_b))
     return records
@@ -452,15 +451,11 @@ def _equienergetic_pair(
     (e_a, ig_a, poly_a), (e_b, ig_b, poly_b) = row_a, row_b
     cospectral = poly_a == poly_b
     ig_gap = abs(ig_a - ig_b)
-    return CollisionPair(
-        kind="energy",
-        code_a=tree_a.code_hex,
-        code_b=tree_b.code_hex,
-        edges_a=tree_a.edges,
-        edges_b=tree_b.edges,
-        n_a=tree_a.n,
-        n_b=tree_b.n,
-        shared_value=(e_a + e_b) / 2.0,
+    return _tree_pair(
+        "energy",
+        tree_a,
+        tree_b,
+        (e_a + e_b) / 2.0,
         secondary_gaps=(("E", abs(e_a - e_b)), ("Ig", ig_gap)),
         cospectral=cospectral,
         candidate=(not cospectral) and ig_gap > CANDIDATE_IG_GAP,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from treedist import Tree, cli, from_edge_list, search
 from treedist.cli import _emit, build_parser, main
+from treedist.measures import MAX_THEOREM3_ORDER
 from treedist.search import ViolationRecord
 
 P4 = "4 3\n0 1\n1 2\n2 3\n"
@@ -255,14 +257,23 @@ def test_non_finite_inputs_exit_1(capsys, p4_file, argv, message):
         (["scan", "caterpillar", "--t", "1"], "fixed_t must be >= 2, got 1"),
         (["scan", "equienergetic", "--n-min", "1", "--n-max", "3"], "n_min must be >= 2, got 1"),
         (["scan", "equal-wiener", "--n", "1"], "n must be >= 2, got 1"),
-        (["bounds", "--theorem", "3", "--n", "1" + "0" * 400], "int too large to convert to float"),
-        (["scan", "caterpillar", "--t", "1" + "0" * 400], "int too large to convert to float"),
+        (["bounds", "--theorem", "3", "--n", "1" + "0" * 400], f"order must be <= {MAX_THEOREM3_ORDER}, got 1" + "0" * 400),
+        (["scan", "caterpillar", "--t", "1" + "0" * 400], "fixed_t must be <= scan_limit 100, got 1" + "0" * 400),
+        (["scan", "caterpillar", "--limit", "9", "--t", "10"], "fixed_t must be <= scan_limit 9, got 10"),
+        (["scan", "caterpillar", "--limit", "10609"], "scan_limit must be <= 10608, got 10609"),
+        (["scan", "caterpillar", "--limit", "103", "--all-integers"], "scan_limit must be <= 102, got 103"),
+        (["scan", "caterpillar", "--limit", "1" + "0" * 400], "scan_limit must be <= 10608, got 1" + "0" * 400),
     ],
     ids=["verify-n-above-n-max", "equienergetic-n-min-above-n-max", "caterpillar-limit-0", "caterpillar-t-1",
-         "equienergetic-n-min-1", "equal-wiener-n-1", "bounds-theorem3-n-overflow", "caterpillar-t-overflow"],
+         "equienergetic-n-min-1", "equal-wiener-n-1", "bounds-theorem3-n-overflow", "caterpillar-t-overflow",
+         "caterpillar-t-above-limit", "caterpillar-limit-above-max", "caterpillar-all-integers-limit-above-max",
+         "caterpillar-limit-overflow"],
 )
 def test_out_of_range_parameters_exit_1(capsys, argv, message):
+    # Each is refused before any work: a whole run takes well under a second.
+    started = time.perf_counter()
     code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - started < 1.0
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"

@@ -25,6 +25,7 @@ from treedist import (
     wiener_deletion_gap,
 )
 from treedist.graph_core import from_edge_list
+from treedist.measures import MAX_THEOREM3_ORDER
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +268,10 @@ def test_theorem3_bound_validation():
         theorem3_bound(1, 1.0)
     with pytest.raises(ValueError):
         theorem3_bound(5, 0.0)
+
+
+def test_theorem3_bound_largest_order():
+    # The largest accepted order still computes; the next is refused by name.
+    assert theorem3_bound(MAX_THEOREM3_ORDER, 1.0) == math.nextafter(1.0, 0.0)
+    with pytest.raises(ValueError, match=f"order must be <= {MAX_THEOREM3_ORDER}, got"):
+        theorem3_bound(MAX_THEOREM3_ORDER + 1, 1.0)

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import path_tree
 from treedist import (
@@ -339,6 +341,43 @@ def test_scan_drops_isomorphic_reversals():
 
 def test_scan_deterministic():
     assert caterpillar_scan(scan_limit=64, fixed_t=4) == caterpillar_scan(scan_limit=64, fixed_t=4)
+
+
+@pytest.mark.parametrize("squares, largest", [(True, 10608), (False, 102)])
+def test_scan_size_bound(squares, largest):
+    # m candidate degrees build m * (m - 1)^2 quadruples; the largest accepted
+    # limit stays within the bound and one more exceeds it.
+    def quads(limit):
+        m = math.isqrt(limit) if squares else limit
+        return m * (m - 1) ** 2
+
+    assert quads(largest) <= search.MAX_SPINE_QUADS < quads(largest + 1)
+    assert quads(100) == (810 if squares else 980_100)  # the README's scans to 100
+    with pytest.raises(ValueError, match=f"scan_limit must be <= {largest}, got {largest + 1}"):
+        caterpillar_scan(scan_limit=largest + 1, perfect_squares_only=squares)
+
+
+# Keys with many exact ties (a few dyadic values) mixed with arbitrary floats.
+_KEYS = st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(-2.0, 2.0)), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=_KEYS, tol=st.sampled_from([0.0, 0.25, 0.7]), data=st.data())
+def test_near_pairs_matches_brute_force(keys, tol, data):
+    brute = {
+        frozenset((i, j))
+        for i in range(len(keys))
+        for j in range(i + 1, len(keys))
+        if abs(keys[i] - keys[j]) <= tol
+    }
+    pairs = [frozenset(p) for p in search._near_pairs(keys, tol)]
+    assert all(len(p) == 2 for p in pairs)
+    assert len(pairs) == len(set(pairs))  # each unordered pair once
+    assert set(pairs) == brute
+    # The same keys in another input order give the same pairs.
+    perm = data.draw(st.permutations(range(len(keys))))
+    shuffled = [keys[k] for k in perm]
+    assert {frozenset((perm[i], perm[j])) for i, j in search._near_pairs(shuffled, tol)} == brute
 
 
 def test_r_core_difference_matches_built_trees():
