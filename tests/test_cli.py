@@ -257,7 +257,10 @@ def test_non_finite_inputs_exit_1(capsys, p4_file, argv, message):
         (["scan", "caterpillar", "--t", "1"], "fixed_t must be >= 2, got 1"),
         (["scan", "equienergetic", "--n-min", "1", "--n-max", "3"], "n_min must be >= 2, got 1"),
         (["scan", "equal-wiener", "--n", "1"], "n must be >= 2, got 1"),
-        (["bounds", "--theorem", "3", "--n", "1" + "0" * 400], f"order must be <= {MAX_THEOREM3_ORDER}, got 1" + "0" * 400),
+        (
+            ["bounds", "--theorem", "3", "--n", "1" + "0" * 400],
+            f"order must be <= {MAX_THEOREM3_ORDER}, got 1" + "0" * 400,
+        ),
         (["scan", "caterpillar", "--t", "1" + "0" * 400], "fixed_t must be <= scan_limit 100, got 1" + "0" * 400),
         (["scan", "caterpillar", "--limit", "9", "--t", "10"], "fixed_t must be <= scan_limit 9, got 10"),
         (["scan", "caterpillar", "--limit", "10609"], "scan_limit must be <= 10608, got 10609"),
