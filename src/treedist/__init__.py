@@ -20,7 +20,6 @@ from .graph_core import (
     from_edge_list,
     is_connected,
     parse_edge_list,
-    unit_edit_neighbors,
 )
 from .indices import (
     avg_distance,

@@ -49,6 +49,14 @@ RECORD_LISTS = ("borderline", "violations")
 RECORD_DEPTH = 3
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# The largest order each command takes.  At these orders each JSON report
+# took under 60 s on a 2-vCPU host (for verify, under every conjecture); a
+# larger order is refused before any tree is enumerated.
+MAX_ENUMERATE_ORDER = 19
+MAX_VERIFY_ORDER = 15
+MAX_EQUAL_WIENER_ORDER = 14
+MAX_EQUIENERGETIC_ORDER = 17
+
 
 def _load_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as handle:
@@ -67,6 +75,11 @@ def _compute_index(g: Graph, kind: str, k: int, log_base: float) -> float:
     if kind == "If":
         return ifk_entropy(g, k, log_base)
     raise ValueError(f"unknown index kind {kind!r}")
+
+
+def _check_order(name: str, n: int, largest: int) -> None:
+    if n > largest:
+        raise ValueError(f"{name} must be <= {largest}, got {n}")
 
 
 def _edges_csv(edges: tuple[tuple[int, int], ...]) -> str:
@@ -126,6 +139,7 @@ def _cmd_enumerate(args: argparse.Namespace):
     if args.count_only:
         payload = {"n": args.n, "count": count_trees(args.n)}
         return config, payload, list(payload), [list(payload.values())]
+    _check_order("n", args.n, MAX_ENUMERATE_ORDER)
     trees = list(enumerate_trees(args.n))
     payload: dict[str, Any] = {"n": args.n, "count": len(trees)}
     # Each format builds only its own records: the tree list for JSON, the
@@ -140,6 +154,7 @@ def _cmd_verify(args: argparse.Namespace):
     n_max = args.n_max if args.n_max is not None else args.n
     if args.n > n_max:
         raise ValueError(f"n_min {args.n} exceeds n_max {n_max}")
+    _check_order("n" if args.n_max is None else "n_max", n_max, MAX_VERIFY_ORDER)
     violations: list[ViolationRecord] = []
     borderline: list[ViolationRecord] = []
     pairs_checked = 0
@@ -204,12 +219,14 @@ def _cmd_scan_caterpillar(args: argparse.Namespace):
 
 
 def _cmd_scan_equal_wiener(args: argparse.Namespace):
+    _check_order("n", args.n, MAX_EQUAL_WIENER_ORDER)
     pairs = find_equal_wiener_pairs(args.n)
     payload = {"n": args.n, "pairs": [_collision_dict(c) for c in pairs]}
     return _config(args), payload, _COLLISION_HEADER, _collision_rows(pairs)
 
 
 def _cmd_scan_equienergetic(args: argparse.Namespace):
+    _check_order("n_max", args.n_max, MAX_EQUIENERGETIC_ORDER)
     pairs = equienergetic_scan(args.n_min, args.n_max, args.energy_tol)
     payload = {"records": [_collision_dict(c) for c in pairs]}
     return _config(args), payload, _COLLISION_HEADER, _collision_rows(pairs)

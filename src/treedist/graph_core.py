@@ -74,6 +74,8 @@ class Graph:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise VertexRangeError(f"edge ({u}, {v}) out of range for n={self.n}")
             nbrs[u].append(v)
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
@@ -82,38 +84,13 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set
-
-    @cached_property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
     def delete_edge(self, u: int, v: int) -> "Graph":
         """Return a copy without edge ``{u, v}`` (which must exist)."""
         if u > v:
             u, v = v, u
-        if (u, v) not in self._edge_set:
+        if (u, v) not in self.edges:
             raise GraphError(f"edge ({u}, {v}) not present")
         return Graph(self.n, tuple(e for e in self.edges if e != (u, v)))
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        """Return a copy with a new edge ``{u, v}``."""
-        _check_endpoints(self.n, u, v)
-        if u > v:
-            u, v = v, u
-        if (u, v) in self._edge_set:
-            raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-        return Graph(self.n, tuple(sorted(self.edges + ((u, v),))))
-
-
-def _check_endpoints(n: int, u: int, v: int) -> None:
-    if not (0 <= u < n) or not (0 <= v < n):
-        raise VertexRangeError(f"edge ({u}, {v}) out of range for n={n}")
-    if u == v:
-        raise LoopEdgeError(f"loop at vertex {u}")
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -127,7 +104,10 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     seen: set[tuple[int, int]] = set()
     normalized: list[tuple[int, int]] = []
     for u, v in edges:
-        _check_endpoints(n, u, v)
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise VertexRangeError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise LoopEdgeError(f"loop at vertex {u}")
         e = (u, v) if u < v else (v, u)
         if e in seen:
             raise DuplicateEdgeError(f"duplicate edge {e}")
@@ -164,7 +144,8 @@ def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
     # Sufficient only: if every v > 0 has a smaller neighbour, walking down reaches 0.
-    if {v for u, v in g.edges if u < v}.issuperset(range(1, g.n)):
+    # With n - 1 edges, as in a Tree, it also puts every endpoint in 0..n-1.
+    if {v for u, v in g.edges if 0 <= u < v}.issuperset(range(1, g.n)):
         return True
     return len(_dfs_order(g, 0)[0]) == g.n
 
@@ -434,25 +415,6 @@ def attach_tree(host: Tree, at: int, sub: Tree, sub_root: int) -> Tree:
     edges.extend((offset + u, offset + v) for u, v in sub.edges)
     g = from_edge_list(host.n + sub.n, edges)
     return Tree(g.n, g.edges)
-
-
-def unit_edit_neighbors(g: Graph) -> Iterator[Graph]:
-    """All connected graphs one edge deletion or addition away from ``g``.
-
-    Deletions that disconnect the graph are skipped.  Each neighbor is
-    emitted once: deletions in stored edge order, then additions in
-    lexicographic non-edge order.
-    """
-    if not is_connected(g):
-        raise DisconnectedGraphError("unit edits are generated for connected graphs only")
-    for u, v in g.edges:
-        h = g.delete_edge(u, v)
-        if is_connected(h):
-            yield h
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                yield g.add_edge(u, v)
 
 
 # ---------------------------------------------------------------------------

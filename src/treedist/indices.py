@@ -101,3 +101,8 @@ def check_probability_vector(p: Sequence[float], tol: float = PROBABILITY_SUM_TO
 def _check_log_base(base: float) -> None:
     if not (1.0 < base < math.inf):
         raise ValueError(f"log base must be a finite real > 1, got {base}")
+
+
+def _check_tol(name: str, tol: float) -> None:
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"{name} must be a positive finite real, got {tol}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph_core import Graph, GraphError, is_connected
-from .indices import _check_log_base, check_probability_vector, wiener
+from .indices import _check_log_base, _check_tol, check_probability_vector, wiener
 
 # Exponents beyond this would underflow exp() to 0.0 and report a distance
 # of exactly 1.0, breaking the open upper bound; clamp just below 1 instead.
@@ -38,14 +38,9 @@ class DistanceResult:
     kind: str | None = None
 
 
-def _check_sigma(sigma: float) -> None:
-    if not (sigma > 0.0) or not math.isfinite(sigma):
-        raise ValueError(f"sigma must be a positive finite real, got {sigma}")
-
-
 def d_index(value_a: float, value_b: float, sigma: float, kind: str | None = None) -> DistanceResult:
     """Distance 1 - exp(-(gap/sigma)^2) between two invariant values."""
-    _check_sigma(sigma)
+    _check_tol("sigma", sigma)
     if not (math.isfinite(value_a) and math.isfinite(value_b)):
         raise ValueError(f"invariant values must be finite, got {value_a}, {value_b}")
     gap = abs(value_a - value_b)
@@ -134,7 +129,7 @@ def theorem3_bound(n: int, sigma: float) -> float:
         raise ValueError(f"order must be >= 2, got {n}")
     if n > MAX_THEOREM3_ORDER:
         raise ValueError(f"order must be <= {MAX_THEOREM3_ORDER}, got {n}")
-    _check_sigma(sigma)
+    _check_tol("sigma", sigma)
     return d_index(WIENER_GAP_COEFF * n**3, 0.0, sigma).distance
 
 

@@ -38,7 +38,7 @@ from .graph_core import (
     build_caterpillar,
     enumerate_trees,
 )
-from .indices import ifk_entropy, randic, wiener
+from .indices import _check_tol, ifk_entropy, randic, wiener
 from .spectral import Spectrum, char_poly, spectra
 
 CONJECTURE_INDEX_PAIRS = {1: ("W", "R"), 2: ("E", "Ig"), 3: ("R", "If1")}
@@ -47,11 +47,6 @@ CONJECTURE_INDEX_PAIRS = {1: ("W", "R"), 2: ("E", "Ig"), 3: ("R", "If1")}
 # A non-cospectral equienergetic pair whose Ig gap exceeds this is a
 # candidate refutation of the energy-entropy conjecture.
 CANDIDATE_IG_GAP = 1e-9
-
-
-def _check_tol(name: str, tol: float) -> None:
-    if not (0.0 < tol < math.inf):
-        raise ValueError(f"{name} must be a positive finite real, got {tol}")
 
 
 @dataclass(frozen=True)

@@ -280,10 +280,10 @@ def test_criterion_7_bounds_suite():
                 (u, v)
                 for u in range(n)
                 for v in range(u + 1, n)
-                if not tree.has_edge(u, v)
+                if (u, v) not in tree.edges
             ]
             for chord in non_edges:
-                g = tree.add_edge(*chord)
+                g = from_edge_list(n, tree.edges + (chord,))
                 for edge in g.edges:
                     if not is_connected(g.delete_edge(*edge)):
                         continue

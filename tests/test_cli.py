@@ -266,14 +266,25 @@ def test_non_finite_inputs_exit_1(capsys, p4_file, argv, message):
         (["scan", "caterpillar", "--limit", "10609"], "scan_limit must be <= 10608, got 10609"),
         (["scan", "caterpillar", "--limit", "103", "--all-integers"], "scan_limit must be <= 102, got 103"),
         (["scan", "caterpillar", "--limit", "1" + "0" * 400], "scan_limit must be <= 10608, got 1" + "0" * 400),
+        (["enumerate", "--n", "20"], "n must be <= 19, got 20"),
+        (["verify", "--conjecture", "1", "--n", "16"], "n must be <= 15, got 16"),
+        (["verify", "--conjecture", "3", "--n", "4", "--n-max", "16"], "n_max must be <= 15, got 16"),
+        (["scan", "equal-wiener", "--n", "15"], "n must be <= 14, got 15"),
+        (["scan", "equienergetic", "--n-max", "18"], "n_max must be <= 17, got 18"),
     ],
     ids=["verify-n-above-n-max", "equienergetic-n-min-above-n-max", "caterpillar-limit-0", "caterpillar-t-1",
          "equienergetic-n-min-1", "equal-wiener-n-1", "bounds-theorem3-n-overflow", "caterpillar-t-overflow",
          "caterpillar-t-above-limit", "caterpillar-limit-above-max", "caterpillar-all-integers-limit-above-max",
-         "caterpillar-limit-overflow"],
+         "caterpillar-limit-overflow", "enumerate-n-above-max", "verify-n-above-max", "verify-n-max-above-max",
+         "equal-wiener-n-above-max", "equienergetic-n-max-above-max"],
 )
-def test_out_of_range_parameters_exit_1(capsys, argv, message):
-    # Each is refused before any work: a whole run takes well under a second.
+def test_out_of_range_parameters_exit_1(capsys, monkeypatch, argv, message):
+    # Each is refused before any work: no tree is enumerated, and a whole run takes well under a second.
+    def refuse(n):
+        raise AssertionError(f"enumerated the trees of order {n}")
+
+    monkeypatch.setattr(cli, "enumerate_trees", refuse)
+    monkeypatch.setattr(search, "enumerate_trees", refuse)
     started = time.perf_counter()
     code, out, err = run_cli(capsys, argv)
     assert time.perf_counter() - started < 1.0

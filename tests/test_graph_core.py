@@ -38,7 +38,6 @@ from treedist import (
     from_edge_list,
     is_connected,
     parse_edge_list,
-    unit_edit_neighbors,
 )
 from treedist.graph_core import Graph, _canonical_code, _rooted_catalog, _rooted_code
 
@@ -111,6 +110,13 @@ def test_tree_rejection_messages():
         Tree(4, ((0, 1), (0, 2), (1, 2)))
 
 
+def test_tree_rejects_out_of_range_endpoints():
+    with pytest.raises(VertexRangeError, match=r"^edge \(-1, 1\) out of range for n=2$"):
+        Tree(2, ((-1, 1),))
+    with pytest.raises(VertexRangeError, match=r"^edge \(1, 5\) out of range for n=3$"):
+        Tree(3, ((0, 1), (1, 5)))
+
+
 def test_enumerated_trees_are_graphs():
     for n in range(1, 11):
         for t in enumerate_trees(n):
@@ -121,7 +127,6 @@ def test_tree_edits_are_plain_graphs():
     t = path_tree(4)
     assert type(t.delete_edge(1, 2)) is Graph
     assert t.delete_edge(1, 2) == Graph(4, ((0, 1), (2, 3)))
-    assert type(t.add_edge(0, 3)) is Graph
 
 
 # ---------------------------------------------------------------------------
@@ -364,37 +369,6 @@ def test_attach_preserves_treeness_randomized():
 def test_attach_rejects_bad_vertices():
     with pytest.raises(VertexRangeError):
         attach_tree(path_tree(3), 5, path_tree(2), 0)
-
-
-# ---------------------------------------------------------------------------
-# Unit edits
-# ---------------------------------------------------------------------------
-
-
-def test_unit_edit_neighbors_p3():
-    neighbors = list(unit_edit_neighbors(path_graph(3)))
-    assert len(neighbors) == 1
-    assert neighbors[0].m == 3  # the triangle
-
-
-def test_unit_edit_neighbors_c4():
-    neighbors = list(unit_edit_neighbors(cycle_graph(4)))
-    assert len(neighbors) == 6
-    assert sum(1 for h in neighbors if h.m == 3) == 4
-    assert sum(1 for h in neighbors if h.m == 5) == 2
-    assert len({h.edges for h in neighbors}) == 6
-
-
-def test_unit_edit_neighbors_k3():
-    k3 = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
-    neighbors = list(unit_edit_neighbors(k3))
-    assert len(neighbors) == 3
-    assert all(h.m == 2 for h in neighbors)
-
-
-def test_unit_edit_rejects_disconnected():
-    with pytest.raises(DisconnectedGraphError):
-        list(unit_edit_neighbors(from_edge_list(3, [(0, 1)])))
 
 
 # ---------------------------------------------------------------------------

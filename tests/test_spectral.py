@@ -208,7 +208,7 @@ def _faddeev_leverrier_graphs() -> list[Graph]:
     graphs += [from_edge_list(n, combinations(range(n), 2)) for n in range(2, 7)]
     for n in range(3, 8):
         for t in enumerate_trees(n):
-            graphs += [t.add_edge(u, v) for u, v in combinations(range(n), 2) if not t.has_edge(u, v)]
+            graphs += [from_edge_list(n, t.edges + (e,)) for e in combinations(range(n), 2) if e not in t.edges]
     graphs.append(from_edge_list(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]))
     return graphs
 
