@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import io
 import itertools
 import json
 import math
@@ -37,14 +35,14 @@ SCHEMA_VERSION = 1
 
 INDEX_KINDS = ("W", "R", "E", "Ig", "If")
 
-# JSON pieces joined into one write: encoder chunks, or whole verify
-# records.  A large report goes out in a few big writes instead of one per
-# token, with memory bounded by the block.
+# Report pieces joined into one write: JSON encoder chunks or whole verify
+# records, or CSV lines.  A large report goes out in a few big writes instead
+# of one per token or row, with memory bounded by the block.
 JSON_BLOCK_CHUNKS = 512
 
-# Payload lists of ViolationRecord field dicts, written through one template
-# instead of the stdlib encoder.  They sit at report -> payload -> list, so
-# each record is a dict at depth 3.
+# Payload lists of ViolationRecords, written through one template as field
+# objects instead of arrays.  They sit at report -> payload -> list, so each
+# record is an object at depth 3.
 RECORD_LISTS = ("borderline", "violations")
 RECORD_DEPTH = 3
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -135,19 +133,18 @@ def _cmd_distance(args: argparse.Namespace):
 
 
 def _cmd_enumerate(args: argparse.Namespace):
-    config = _config(args)
+    if not args.count_only:
+        _check_order("n", args.n, MAX_ENUMERATE_ORDER)
+    payload: dict[str, Any] = {"n": args.n, "count": count_trees(args.n)}
     if args.count_only:
-        payload = {"n": args.n, "count": count_trees(args.n)}
-        return config, payload, list(payload), [list(payload.values())]
-    _check_order("n", args.n, MAX_ENUMERATE_ORDER)
-    trees = list(enumerate_trees(args.n))
-    payload: dict[str, Any] = {"n": args.n, "count": len(trees)}
-    # Each format builds only its own records: the tree list for JSON, the
-    # lazy rows for CSV.
+        return _config(args), payload, list(payload), [list(payload.values())]
+    # Each format consumes the enumeration once, keeping no Tree: JSON as the
+    # list of tree entries, CSV as rows streamed while the report is written.
+    trees = enumerate_trees(args.n)
     if args.format == "json":
         payload["trees"] = [{"code": t.code_hex, "edges": t.edges} for t in trees]
     rows = ([args.n, t.code_hex, _edges_csv(t.edges)] for t in trees)
-    return config, payload, ["n", "code", "edges"], rows
+    return _config(args), payload, ["n", "code", "edges"], rows
 
 
 def _cmd_verify(args: argparse.Namespace):
@@ -169,10 +166,9 @@ def _cmd_verify(args: argparse.Namespace):
         "conjecture": args.conjecture,
         "orders": list(range(args.n, n_max + 1)),
         "pairs_checked": pairs_checked,
-        # The records' own field dicts: the encoder writes tuples as arrays,
-        # and unlike dataclasses.asdict, vars copies nothing per record.
-        "violations": [vars(v) for v in violations],
-        "borderline": [vars(v) for v in borderline],
+        # The records themselves: _emit writes each as its _asdict() object.
+        "violations": violations,
+        "borderline": borderline,
     }
     header = [
         "conjecture", "n", "code_a", "code_b", "index_a", "index_b",
@@ -382,17 +378,18 @@ class _Memo(dict):
         return text
 
 
-def _record_pieces(records: list[dict[str, Any]]) -> Iterator[str]:
-    """A non-empty list of ViolationRecord field dicts as indented JSON, one piece per record.
+def _record_pieces(records: list[ViolationRecord]) -> Iterator[str]:
+    """A non-empty list of ViolationRecords as indented JSON objects, one piece per record.
 
-    Byte for byte the stdlib encoder's output at ``RECORD_DEPTH``: the
-    template is that encoder's rendering of a record whose fields are all
-    placeholders.  Codes, index values, gaps and the per-order fields
-    repeat across thousands of records, so each distinct value is rendered
-    once.  A tree's code and index values are keyed together, so they are
-    right even if a code were to recur with other values.
+    Byte for byte the stdlib encoder's output of the records' ``_asdict()``
+    at ``RECORD_DEPTH``: the template is that encoder's rendering of a record
+    whose fields are all placeholders.  Codes, index values, gaps and the
+    per-order fields repeat across thousands of records, so each distinct
+    value is rendered once.  A tree's code and index values are keyed
+    together, so they are right even if a code were to recur with other
+    values.
     """
-    keys = sorted(f.name for f in dataclasses.fields(ViolationRecord))
+    keys = sorted(ViolationRecord._fields)
     blank = _indented(dict.fromkeys(keys, "\0"), RECORD_DEPTH)
     template = blank.replace(json.dumps("\0"), "%s")
     trees = _Memo(lambda key: (_indented(key[0], RECORD_DEPTH + 1), _indented(key[1], RECORD_DEPTH + 1)))
@@ -400,13 +397,13 @@ def _record_pieces(records: list[dict[str, Any]]) -> Iterator[str]:
     floats = _Memo(_float_json)
     indent = "\n" + "  " * RECORD_DEPTH
     separator = "[" + indent
-    for r in records:
-        code_a, values_a = trees[r["code_a"], r["values_a"]]
-        code_b, values_b = trees[r["code_b"], r["values_b"]]
-        conjecture, n, index_pair = orders[r["conjecture"], r["n"], r["index_pair"]]
+    for conjecture, n, code_a, code_b, index_pair, values_a, values_b, gap_a, gap_b, margin in records:
+        code_a, values_a = trees[code_a, values_a]
+        code_b, values_b = trees[code_b, values_b]
+        conjecture, n, index_pair = orders[conjecture, n, index_pair]
         yield separator + template % (
-            code_a, code_b, conjecture, floats[r["gap_a"]], floats[r["gap_b"]],
-            index_pair, floats[r["margin"]], n, values_a, values_b,
+            code_a, code_b, conjecture, floats[gap_a], floats[gap_b],
+            index_pair, floats[margin], n, values_a, values_b,
         )
         separator = "," + indent
     yield "\n" + "  " * (RECORD_DEPTH - 1) + "]"
@@ -432,18 +429,20 @@ def _json_pieces(report: dict[str, Any]) -> Iterator[str]:
     )
 
 
+class _Echo:
+    """A file whose ``write`` returns its text, so a csv writer's ``writerow`` returns the line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
 def _emit(report: dict[str, Any], header: list[str], rows: Iterable[list[Any]], fmt: str, out) -> None:
     if fmt == "json":
-        pieces = _json_pieces(report)
-        while batch := "".join(itertools.islice(pieces, JSON_BLOCK_CHUNKS)):
-            out.write(batch)
-        out.write("\n")
+        pieces = itertools.chain(_json_pieces(report), "\n")
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        out.write(buf.getvalue())
+        pieces = map(csv.writer(_Echo(), lineterminator="\n").writerow, itertools.chain([header], rows))
+    while batch := "".join(itertools.islice(pieces, JSON_BLOCK_CHUNKS)):
+        out.write(batch)
 
 
 def main(argv: list[str] | None = None) -> int:

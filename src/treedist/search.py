@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import repeat
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,9 +50,12 @@ CONJECTURE_INDEX_PAIRS = {1: ("W", "R"), 2: ("E", "Ig"), 3: ("R", "If1")}
 CANDIDATE_IG_GAP = 1e-9
 
 
-@dataclass(frozen=True)
-class ViolationRecord:
-    """A decisive conjecture violation for one unordered tree pair."""
+# The most tree pairs the verifier's sweep compares in one numpy step.
+PAIR_BLOCK = 2**18
+
+
+class ViolationRecord(NamedTuple):
+    """A conjecture violation for one unordered tree pair, tree a first in code order."""
 
     conjecture: int
     n: int
@@ -140,6 +144,27 @@ def _index_values(trees: list[Tree], kinds: Sequence[str]) -> dict[str, list[flo
     }
 
 
+def _violating_pairs(a_col: np.ndarray, b_col: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Columns (i, j, gap_a, gap_b, margin) of the pairs i < j whose a-gap is not >= their b-gap.
+
+    The pairs are swept in row-major order, in blocks of whole rows that
+    hold at most ``PAIR_BLOCK`` pairs (or one longer row); each block
+    yields its own columns.  A NaN gap counts as a violation.
+    """
+    count, first = len(a_col), 0
+    while first < count - 1:
+        stop = min(count - 1, first + max(1, PAIR_BLOCK // (count - 1 - first)))
+        # Row i - first holds the gaps of tree i to trees first + 1, first + 2, ...
+        gaps_a = np.abs(a_col[first:stop, None] - a_col[first + 1 :])
+        gaps_b = np.abs(b_col[first:stop, None] - b_col[first + 1 :])
+        # Negated so that a NaN gap counts as a violation, as a failed >= does;
+        # triu keeps the pairs with j > i.
+        rows, cols = np.nonzero(np.triu(~(gaps_a >= gaps_b)))
+        gap_a, gap_b = gaps_a[rows, cols], gaps_b[rows, cols]
+        yield rows + first, cols + first + 1, gap_a, gap_b, gap_b - gap_a
+        first = stop
+
+
 def verify_conjecture_detail(
     conjecture: int, n: int, float_tol: float = 1e-9
 ) -> tuple[list[ViolationRecord], list[ViolationRecord]]:
@@ -147,9 +172,9 @@ def verify_conjecture_detail(
 
     A pair violates when its first-index gap is strictly smaller than its
     second-index gap; the verdict is decisive when the margin clears
-    ``float_tol``, borderline otherwise.  Each tree's gaps to all later
-    trees are computed as one numpy row, and records are built for the
-    violating pairs only.
+    ``float_tol``, borderline otherwise.  The violating pairs' columns are
+    ordered by one lexsort on (-margin, code_a, code_b), with NaN margins
+    last in sweep order, so the decisive records are a prefix.
     """
     _check_tol("float_tol", float_tol)
     if conjecture not in CONJECTURE_INDEX_PAIRS:
@@ -158,39 +183,23 @@ def verify_conjecture_detail(
         raise ValueError(f"conjecture checks need n >= 4, got {n}")
     trees = list(enumerate_trees(n))
     a_vals, b_vals = _index_values(trees, CONJECTURE_INDEX_PAIRS[conjecture]).values()
-    codes = [t.code_hex for t in trees]
-    a_col = np.array(a_vals, dtype=np.float64)
-    b_col = np.array(b_vals, dtype=np.float64)
-    violations: list[ViolationRecord] = []
-    borderline: list[ViolationRecord] = []
-    for i in range(len(trees) - 1):
-        gaps_a = np.abs(a_col[i] - a_col[i + 1 :])
-        gaps_b = np.abs(b_col[i] - b_col[i + 1 :])
-        # Negated so that a NaN gap counts as a violation, as a failed >= does.
-        hits = np.flatnonzero(~(gaps_a >= gaps_b))
-        for offset, gap_a, gap_b in zip(hits.tolist(), gaps_a[hits].tolist(), gaps_b[hits].tolist()):
-            j = i + 1 + offset
-            first, second = (i, j) if codes[i] <= codes[j] else (j, i)
-            record = ViolationRecord(
-                conjecture=conjecture,
-                n=n,
-                code_a=codes[first],
-                code_b=codes[second],
-                index_pair=CONJECTURE_INDEX_PAIRS[conjecture],
-                values_a=(a_vals[first], b_vals[first]),
-                values_b=(a_vals[second], b_vals[second]),
-                gap_a=gap_a,
-                gap_b=gap_b,
-                margin=gap_b - gap_a,
-            )
-            if record.margin > float_tol:
-                violations.append(record)
-            else:
-                borderline.append(record)
-    key = lambda r: (-r.margin, r.code_a, r.code_b)
-    violations.sort(key=key)
-    borderline.sort(key=key)
-    return violations, borderline
+    sweep = _violating_pairs(np.array(a_vals, dtype=np.float64), np.array(b_vals, dtype=np.float64))
+    i, j, gap_a, gap_b, margin = map(np.concatenate, zip(*sweep))
+    by_code = sorted(range(len(trees)), key=lambda t: trees[t].code_hex)
+    rank = np.argsort(by_code)  # each tree's place in code order; the lower rank of a pair is its tree a
+    lo, hi = np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j])
+    order = np.lexsort((hi, lo, -margin))
+    order[np.count_nonzero(~np.isnan(margin)) :].sort()  # NaN margins sort last: back to sweep order
+    codes = [trees[t].code_hex for t in by_code]
+    values = [(a_vals[t], b_vals[t]) for t in by_code]
+    lo, hi = lo[order].tolist(), hi[order].tolist()
+    records = list(map(
+        ViolationRecord, repeat(conjecture), repeat(n), map(codes.__getitem__, lo), map(codes.__getitem__, hi),
+        repeat(CONJECTURE_INDEX_PAIRS[conjecture]), map(values.__getitem__, lo), map(values.__getitem__, hi),
+        gap_a[order].tolist(), gap_b[order].tolist(), margin[order].tolist(),
+    ))
+    cut = np.count_nonzero(margin > float_tol)
+    return records[:cut], records[cut:]
 
 
 def verify_conjecture(conjecture: int, n: int, float_tol: float = 1e-9) -> list[ViolationRecord]:

@@ -302,7 +302,11 @@ def test_verify_csv_rows(capsys):
 
 
 def _report(argv):
-    """The report dict that ``main`` would emit for ``argv``, with its CSV parts."""
+    """The report dict that ``main`` would emit for ``argv``, with its CSV parts.
+
+    A verify payload holds its ViolationRecords themselves; compare the
+    emitted JSON with ``_stdlib_json``, which writes each as its ``_asdict()``.
+    """
     args = build_parser().parse_args(argv)
     config, payload, header, rows = args.handler(args)
     report = {"config": config, "payload": payload, "schema": 1, "wall_time_s": 0.125}
@@ -328,22 +332,31 @@ def test_emit_json_golden_bytes(argv):
     report, header, rows = _report(argv)
     out = io.StringIO()
     _emit(report, header, rows, "json", out)
-    assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert out.getvalue() == _stdlib_json(report)
 
 
 @pytest.mark.parametrize("block", [cli.JSON_BLOCK_CHUNKS, 65536, 64])
 def test_emit_json_writes_in_blocks(monkeypatch, block):
     monkeypatch.setattr(cli, "JSON_BLOCK_CHUNKS", block)
     report, header, rows = _report(["verify", "--conjecture", "3", "--n", "10"])
-    tokens = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(report))
+    tokens = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(_as_dicts(report)))
     out = CountingStream()
     _emit(report, header, rows, "json", out)
     assert out.writes <= math.ceil(tokens / block) + 1
-    assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert out.getvalue() == _stdlib_json(report)
+
+
+def _as_dicts(report):
+    """``report`` with each ViolationRecord in its payload replaced by its ``_asdict()``."""
+    payload = {
+        k: [r._asdict() if isinstance(r, ViolationRecord) else r for r in v] if k in cli.RECORD_LISTS else v
+        for k, v in report["payload"].items()
+    }
+    return {**report, "payload": payload}
 
 
 def _stdlib_json(report):
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_as_dicts(report), indent=2, sort_keys=True) + "\n"
 
 
 def _emitted_json(report):
@@ -353,7 +366,7 @@ def _emitted_json(report):
 
 
 def _verify_report(violations, borderline):
-    """A verify report holding the given record field dicts."""
+    """A verify report holding the given records."""
     payload = {
         "borderline": borderline, "conjecture": 1, "orders": [7], "pairs_checked": 11,
         "violations": violations,
@@ -364,10 +377,10 @@ def _verify_report(violations, borderline):
 def _record(trees, i, j, gap_a, gap_b, margin):
     """The record of trees ``i`` and ``j`` of ``trees``, a list of (code, values)."""
     (code_a, values_a), (code_b, values_b) = trees[i], trees[j]
-    return vars(ViolationRecord(
+    return ViolationRecord(
         conjecture=1, n=7, code_a=code_a, code_b=code_b, index_pair=("W", "R"),
         values_a=values_a, values_b=values_b, gap_a=gap_a, gap_b=gap_b, margin=margin,
-    ))
+    )
 
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 2.5]
@@ -436,7 +449,7 @@ def test_emit_verify_writes_at_most_one_block(monkeypatch):
     records = report["payload"]["violations"] + report["payload"]["borderline"]
     assert len(records) > 20 * block
     # A record in its list: separator, then the dict indented at depth 3.
-    longest = max(len(",\n      " + json.dumps(r, indent=2).replace("\n", "\n      ")) for r in records)
+    longest = max(len(",\n      " + json.dumps(r._asdict(), indent=2).replace("\n", "\n      ")) for r in records)
     out = RecordingStream()
     _emit(report, header, rows, "json", out)
     assert out.getvalue() == _stdlib_json(report)

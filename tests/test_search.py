@@ -160,10 +160,14 @@ def _pair_loop_oracle(conjecture, n, float_tol=1e-9):
 
 @pytest.mark.parametrize("float_tol", [1e-9, 0.05])
 @pytest.mark.parametrize("conjecture", [1, 2, 3])
-def test_pair_sweep_matches_double_loop_oracle(conjecture, float_tol):
+def test_pair_sweep_matches_double_loop_oracle(monkeypatch, conjecture, float_tol):
     for n in range(4, 11):
-        # Dataclass equality compares every float with ==, in list order.
-        assert verify_conjecture_detail(conjecture, n, float_tol) == _pair_loop_oracle(conjecture, n, float_tol)
+        oracle = _pair_loop_oracle(conjecture, n, float_tol)
+        # Blocks of one pair, of 7 pairs (which split rows unevenly), and the default.
+        for block in (1, 7, search.PAIR_BLOCK):
+            monkeypatch.setattr(search, "PAIR_BLOCK", block)
+            # Record equality compares every float with ==, in list order.
+            assert verify_conjecture_detail(conjecture, n, float_tol) == oracle, block
 
 
 def test_pair_sweep_counts_nan_gaps_as_borderline(monkeypatch):
